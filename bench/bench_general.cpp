@@ -12,7 +12,7 @@
 //    (instances/generators.hpp) at growing sizes — the fractional
 //    regime where the threshold support sits near 1/2 everywhere and
 //    the repair loop actually fires.
-//  * laminar via dispatcher: laminar instances through
+//  * laminar via dispatcher: single-group laminar instances through
 //    solve_active_time, asserted bit-identical to solve_nested while
 //    timing both — the dispatcher must stay a transparent wrapper.
 //

@@ -1,18 +1,12 @@
 // bench_oracle — the incremental feasibility oracle vs fresh
-// per-query solves, and the serial vs parallel ceiling sweep.
+// per-query solves.
 //
-// Two measurements, both recorded to BENCH_oracle.json (--out) so the
-// perf trajectory accumulates across PRs (docs/PERFORMANCE.md):
-//
-//  * oracle replay: the solver's real query traffic — feasibility
-//    precheck, trim to minimality, then a repair walk with probe
-//    scans — replayed once per instance against (a) fresh
-//    feasible_with_counts solves and (b) one warm-started
-//    FeasibilityOracle. Final count vectors are asserted identical.
-//  * ceiling sweep: the per-node OPT_i lower bounds feeding the strong
-//    LP's constraints (7)/(8), computed serially and across thread
-//    pools of increasing size; results are asserted identical per
-//    worker count.
+// The solver's real query traffic — feasibility precheck, trim to
+// minimality, then a repair walk with probe scans — replayed once per
+// instance against (a) fresh feasible_with_counts solves and (b) one
+// warm-started FeasibilityOracle. Final count vectors are asserted
+// identical. Recorded to BENCH_oracle.json (--out) so the perf
+// trajectory accumulates across PRs (docs/PERFORMANCE.md).
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -20,7 +14,6 @@
 #include <vector>
 
 #include "activetime/feasibility.hpp"
-#include "activetime/opt_bounds.hpp"
 #include "activetime/oracle.hpp"
 #include "activetime/tree.hpp"
 #include "bench/common.hpp"
@@ -28,7 +21,6 @@
 #include "obs/report.hpp"
 #include "util/check.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace nat;
 using at::LaminarForest;
@@ -142,33 +134,6 @@ struct OracleCell {
   int instances;
 };
 
-/// Dense laminar forest (high child probability): hundreds of regions,
-/// so the per-node ceiling sweep has enough independent tasks for the
-/// pool to matter. Seeds that roll a degenerate single-window tree are
-/// skipped by probing until a forest with >= 64 nodes appears.
-at::Instance dense_instance(int id, std::int64_t g) {
-  at::gen::RandomLaminarParams params;
-  params.g = g;
-  params.max_depth = 6;
-  params.max_children = 4;
-  params.child_probability = 0.95;
-  params.max_jobs_per_node = 6;
-  params.max_processing = 8;
-  for (int seed = 1100 + 8 * id;; ++seed) {
-    util::Rng rng(seed);
-    at::Instance inst = at::gen::random_laminar(params, rng);
-    if (LaminarForest::build(inst).num_nodes() >= 64) return inst;
-  }
-}
-
-struct CeilingCell {
-  std::string name;
-  at::Instance (*make)(int, std::int64_t);
-  std::int64_t g;
-  int instances;
-  int reps;  // sweep repetitions per measurement (tasks are microseconds)
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,11 +146,9 @@ int main(int argc, char** argv) {
   }
 
   obs::Json doc = obs::Json::object();
-  // v2: cpu stamp replaces the top-level hardware_concurrency field
-  // (kept by write_bench_json under "cpu"), and the ceiling cells
-  // measure at::ceiling_lower_bounds — the production sweep — instead
-  // of an ad-hoc fixed-grain parallel_for.
-  doc["schema"] = "nat-bench-oracle-v2";
+  // v3: the serial-vs-pooled ceiling-sweep cells are gone with the
+  // pooled sweep itself (the sweep is serial); v2 added the cpu stamp.
+  doc["schema"] = "nat-bench-oracle-v3";
   doc["smoke"] = smoke;
 
   // --- oracle replay: fresh vs incremental --------------------------------
@@ -265,83 +228,6 @@ int main(int argc, char** argv) {
   }
   table.print_markdown(std::cout);
   doc["oracle_cells"] = std::move(cells_json);
-
-  // --- ceiling sweep: serial vs pooled ------------------------------------
-  const std::vector<CeilingCell> ceiling_cells = {
-      {"contended (g=6)", bench::contended_instance, 6, 24, 50},
-      {"large laminar (g=8)", large_instance, 8, 8, 50},
-      {"dense laminar (g=8)", dense_instance, 8, 6, 20},
-  };
-  const std::vector<std::size_t> worker_counts = {2, 4};
-
-  std::cout << "\nPer-node OPT_i ceiling sweep (constraints (7)/(8)),"
-               " serial vs thread pool.\n\n";
-  io::Table ceiling_table({"cell", "nodes", "serial s", "2 workers s",
-                           "4 workers s", "speedup@2", "speedup@4"});
-  obs::Json ceiling_json = obs::Json::array();
-  for (const CeilingCell& cell : ceiling_cells) {
-    const int instances = smoke ? std::min(cell.instances, 2) : cell.instances;
-    const int reps = smoke ? std::min(cell.reps, 3) : cell.reps;
-    std::vector<LaminarForest> forests;
-    std::int64_t nodes = 0;
-    for (int id = 0; id < instances; ++id) {
-      LaminarForest f = LaminarForest::build(cell.make(id, cell.g));
-      f.canonicalize();
-      nodes += f.num_nodes();
-      forests.push_back(std::move(f));
-    }
-
-    std::vector<std::vector<int>> serial_lb(forests.size());
-    util::Stopwatch serial_watch;
-    for (int r = 0; r < reps; ++r) {
-      for (std::size_t k = 0; k < forests.size(); ++k) {
-        const int m = forests[k].num_nodes();
-        serial_lb[k].resize(m);
-        for (int i = 0; i < m; ++i) {
-          serial_lb[k][i] = at::opt_lower_bound(forests[k], i);
-        }
-      }
-    }
-    const double serial_s = serial_watch.seconds();
-
-    std::vector<double> pooled_s;
-    for (std::size_t workers : worker_counts) {
-      util::ThreadPool pool(workers);
-      util::Stopwatch watch;
-      for (int r = 0; r < reps; ++r) {
-        for (std::size_t k = 0; k < forests.size(); ++k) {
-          // The production sweep (adaptive grain, chunk-local arenas,
-          // serial fallback below its cutoff) — what lp_relaxation's
-          // strong-LP build actually runs.
-          const std::vector<int> lb =
-              at::ceiling_lower_bounds(forests[k], pool);
-          NAT_CHECK_MSG(lb == serial_lb[k],
-                        "pooled sweep diverged at " << workers << " workers");
-        }
-      }
-      pooled_s.push_back(watch.seconds());
-    }
-
-    ceiling_table.add_row(
-        {cell.name, io::Table::num(nodes), io::Table::num(serial_s, 4),
-         io::Table::num(pooled_s[0], 4), io::Table::num(pooled_s[1], 4),
-         io::Table::ratio(serial_s, pooled_s[0], 2),
-         io::Table::ratio(serial_s, pooled_s[1], 2)});
-
-    obs::Json j = obs::Json::object();
-    j["name"] = cell.name;
-    j["instances"] = std::int64_t{instances};
-    j["reps"] = std::int64_t{reps};
-    j["nodes"] = nodes;
-    j["serial_seconds"] = serial_s;
-    j["workers2_seconds"] = pooled_s[0];
-    j["workers4_seconds"] = pooled_s[1];
-    j["speedup_workers2"] = pooled_s[0] > 0 ? serial_s / pooled_s[0] : 0.0;
-    j["speedup_workers4"] = pooled_s[1] > 0 ? serial_s / pooled_s[1] : 0.0;
-    ceiling_json.push_back(std::move(j));
-  }
-  ceiling_table.print_markdown(std::cout);
-  doc["ceiling_cells"] = std::move(ceiling_json);
 
   bench::write_bench_json(doc, out_path);
   return 0;

@@ -93,10 +93,7 @@ StrongLp build_strong_lp(const LaminarForest& forest,
 
   // Constraints (7)/(8): x(Des(i)) >= 2 when OPT_i >= 2, >= 3 when >= 3.
   // The per-node OPT_i separation (a flow probe per candidate pair,
-  // opt_bounds.cpp) dominates LP build time; ceiling_lower_bounds fans
-  // it out across the pool (serially below its cutoff) and is
-  // deterministic for every worker count, so the model is identical
-  // whether the sweep ran pooled or inline.
+  // opt_bounds.cpp) dominates LP build time.
   if (options.ceiling_constraints) {
     const std::vector<int> lower = ceiling_lower_bounds(forest);
     for (int i = 0; i < m; ++i) {

@@ -5,7 +5,6 @@
 #include "activetime/oracle.hpp"
 #include "obs/counters.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nat::at {
 
@@ -85,48 +84,13 @@ int opt_lower_bound(const LaminarForest& forest, int node) {
 }
 
 std::vector<int> ceiling_lower_bounds(const LaminarForest& forest) {
-  return ceiling_lower_bounds(forest, util::global_pool());
-}
-
-std::vector<int> ceiling_lower_bounds(const LaminarForest& forest,
-                                      util::ThreadPool& pool) {
   static obs::Counter& c_serial = obs::counter("at.ceiling_sweep.serial");
-  static obs::Counter& c_pooled = obs::counter("at.ceiling_sweep.pooled");
   static obs::Counter& c_nodes = obs::counter("at.ceiling_sweep.nodes");
-
   const int m = forest.num_nodes();
   std::vector<int> lower(static_cast<std::size_t>(m), 1);
+  for (int i = 0; i < m; ++i) lower[i] = opt_lower_bound(forest, i);
   c_nodes.add(m);
-
-  const std::size_t workers = pool.thread_count();
-  const bool serial = m < kCeilingSweepSerialCutoff || workers <= 1 ||
-                      util::ThreadPool::in_worker();
-  if (serial) {
-    for (int i = 0; i < m; ++i) lower[i] = opt_lower_bound(forest, i);
-    c_serial.add(1);
-    return lower;
-  }
-
-  // About four chunks per worker balances load (subtree sizes are very
-  // uneven: the root's sweep dwarfs the leaves') against dispatch cost.
-  const std::size_t n = static_cast<std::size_t>(m);
-  const std::size_t grain = std::max(
-      kCeilingSweepMinGrain, (n + 4 * workers - 1) / (4 * workers));
-  const std::size_t chunks = (n + grain - 1) / grain;
-  util::parallel_for(
-      pool, 0, chunks,
-      [&](std::size_t c) {
-        const std::size_t begin = c * grain;
-        const std::size_t end = std::min(n, begin + grain);
-        std::vector<int> arena(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          arena[i - begin] = opt_lower_bound(forest, static_cast<int>(i));
-        }
-        std::copy(arena.begin(), arena.end(),
-                  lower.begin() + static_cast<std::ptrdiff_t>(begin));
-      },
-      /*grain=*/1);
-  c_pooled.add(1);
+  c_serial.add(1);
   return lower;
 }
 

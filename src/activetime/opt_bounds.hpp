@@ -11,14 +11,9 @@
 //    interchangeable — and testing each with the region flow oracle.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "activetime/tree.hpp"
-
-namespace nat::util {
-class ThreadPool;
-}  // namespace nat::util
 
 namespace nat::at {
 
@@ -29,32 +24,9 @@ bool opt_le_2(const LaminarForest& forest, int node);
 /// (Every subtree holds at least one job, so OPT_i >= 1 always.)
 int opt_lower_bound(const LaminarForest& forest, int node);
 
-/// Forests below this node count run the ceiling sweep serially: the
-/// per-node bound is microseconds on small subtrees, so pool dispatch
-/// costs more than it saves (measured in bench_oracle's sweep cells).
-inline constexpr int kCeilingSweepSerialCutoff = 96;
-
-/// Minimum nodes per pooled sweep chunk.
-inline constexpr std::size_t kCeilingSweepMinGrain = 8;
-
-/// opt_lower_bound for every node, fanned out across the global pool.
-///
-/// Deterministic: the result is the same vector for every worker count
-/// (work is partitioned by node index; each chunk writes a disjoint
-/// slice). Falls back to a plain serial loop when the forest is small
-/// (< kCeilingSweepSerialCutoff), the pool has a single worker (on a
-/// single-core machine the global pool always does), or the caller is
-/// itself a pool worker — in all those regimes the pooled path only
-/// adds dispatch and cache-line contention overhead.
-///
-/// Chunks are sized adaptively (about four per worker, at least
-/// kCeilingSweepMinGrain nodes) and each chunk accumulates into a
-/// chunk-local arena before one write-back into its slice, so workers
-/// never interleave stores on shared cache lines mid-sweep.
+/// opt_lower_bound for every node, in node order. The sweep is serial:
+/// the per-node bound is microseconds on the window groups the solver
+/// builds one LP for, so fanning it out costs more than it saves.
 std::vector<int> ceiling_lower_bounds(const LaminarForest& forest);
-
-/// Same sweep on an explicit pool (benchmarks and worker-count tests).
-std::vector<int> ceiling_lower_bounds(const LaminarForest& forest,
-                                      util::ThreadPool& pool);
 
 }  // namespace nat::at

@@ -40,14 +40,19 @@ bool worst_case_feasible(const Instance& hi,
   return feasible_with_slots(hi, slots);
 }
 
-/// LP lower bound of a point corner: the strengthened LP when laminar
-/// (the bound the 9/5 pipeline is stated against), the natural
-/// time-indexed LP otherwise. Both are valid relaxations, so the value
-/// is <= OPT(corner).
+/// LP lower bound of a point corner, summed over its window groups:
+/// the strengthened LP on laminar groups (the bound the 9/5 pipeline is
+/// stated against), the natural time-indexed LP on crossing ones. Both
+/// are valid relaxations and groups share no slot, so the sum is
+/// <= OPT(corner).
 double corner_lp_value(const Instance& corner, const StrongLpOptions& lp) {
-  if (corner.jobs.empty()) return 0.0;
-  if (corner.is_laminar()) return strong_lp_value(corner, lp);
-  return natural_lp_value(corner);
+  double value = 0.0;
+  for (const std::vector<int>& members : window_groups(corner)) {
+    const Instance group = group_instance(corner, members);
+    value += group.is_laminar() ? strong_lp_value(group, lp)
+                                : natural_lp_value(group);
+  }
+  return value;
 }
 
 }  // namespace

@@ -1,18 +1,10 @@
 #include "activetime/session.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "activetime/feasibility.hpp"
-#include "activetime/general.hpp"
-#include "activetime/lp_transform.hpp"
-#include "activetime/oracle.hpp"
-#include "activetime/rounding.hpp"
 #include "activetime/solver.hpp"
 #include "util/check.hpp"
 
@@ -44,42 +36,6 @@ std::uint64_t group_key(std::int64_t g, const std::vector<Job>& jobs) {
   return h;
 }
 
-/// Content key per LP variable, stable across models of overlapping
-/// instances: a node is identified by its interval, virtual flag, and
-/// occurrence rank (canonicalization can create several virtual nodes
-/// with the same hull), a class by its node, processing time, and
-/// member count. Keys that fail to map between two models simply lose
-/// their warm hint — mapping is a performance channel, never a
-/// correctness one.
-std::vector<std::string> variable_keys(const LaminarForest& forest,
-                                       const StrongLp& lp) {
-  std::vector<std::string> nd(forest.num_nodes());
-  std::unordered_map<std::string, int> seen;
-  for (int i = 0; i < forest.num_nodes(); ++i) {
-    const TreeNode& n = forest.node(i);
-    std::string base = std::to_string(n.interval.lo) + ":" +
-                       std::to_string(n.interval.hi) +
-                       (n.is_virtual ? ":v" : ":r");
-    const int occ = seen[base]++;
-    nd[i] = base + ":" + std::to_string(occ);
-  }
-  std::vector<std::string> keys(
-      static_cast<std::size_t>(lp.model.num_variables()));
-  for (int i = 0; i < forest.num_nodes(); ++i) {
-    keys[static_cast<std::size_t>(lp.x_var[i])] = "x|" + nd[i];
-  }
-  for (std::size_t c = 0; c < lp.classes.size(); ++c) {
-    const JobClass& jc = lp.classes[c];
-    const std::string ckey = nd[jc.node] + "|p" +
-                             std::to_string(jc.processing) + "|n" +
-                             std::to_string(jc.count());
-    for (const auto& [node, var] : lp.y_vars[c]) {
-      keys[static_cast<std::size_t>(var)] = "y|" + ckey + "|" + nd[node];
-    }
-  }
-  return keys;
-}
-
 Interval union_window(const std::vector<Job>& jobs) {
   Interval w = jobs.front().window();
   for (const Job& j : jobs) {
@@ -94,32 +50,6 @@ Time overlap_length(const Interval& a, const Interval& b) {
 }
 
 }  // namespace
-
-std::vector<std::vector<int>> window_groups(const Instance& instance) {
-  const int n = static_cast<int>(instance.jobs.size());
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const Job& ja = instance.jobs[static_cast<std::size_t>(a)];
-    const Job& jb = instance.jobs[static_cast<std::size_t>(b)];
-    if (ja.release != jb.release) return ja.release < jb.release;
-    if (ja.deadline != jb.deadline) return ja.deadline > jb.deadline;
-    return a < b;
-  });
-  std::vector<std::vector<int>> groups;
-  Time hi = 0;
-  for (int j : order) {
-    const Job& job = instance.jobs[static_cast<std::size_t>(j)];
-    if (groups.empty() || job.release >= hi) {
-      groups.emplace_back();
-      hi = job.deadline;
-    }
-    groups.back().push_back(j);
-    hi = std::max(hi, job.deadline);
-  }
-  for (auto& g : groups) std::sort(g.begin(), g.end());
-  return groups;
-}
 
 SolverSession::SolverSession(Instance initial, SessionOptions options)
     : instance_(std::move(initial)), options_(options) {
@@ -214,11 +144,13 @@ void SolverSession::resolve() {
     if (!matched.count(key)) leftovers.push_back(&entry);
   }
 
-  SessionResult res;
-  res.backend = Backend::kNested;
-  res.schedule.assignment.resize(instance_.jobs.size());
+  ActiveTimeOptions solve_options;
+  solve_options.nested.lp = options_.lp;
+  solve_options.cancel = options_.cancel;
   std::unordered_map<std::uint64_t, GroupSolve> next;
   next.reserve(groups.size());
+  std::vector<const ActiveTimeResult*> parts;
+  parts.reserve(groups.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     ++stats_.groups_total;
     GroupSolve entry;
@@ -244,121 +176,25 @@ void SolverSession::resolve() {
           hint = cand;
         }
       }
-      entry = solve_group(groups[gi], hint);
+      ++stats_.oracle_builds;
+      GroupWarmStart warm;
+      warm.hint = hint != nullptr ? &hint->warm : nullptr;
+      entry.result = solve_window_group(Instance{instance_.g, plan[gi].jobs},
+                                        solve_options, &warm);
+      stats_.lp_warm_hits += warm.lp_stats.warm_hit;
+      stats_.lp_warm_repairs += warm.lp_stats.warm_repair;
+      stats_.lp_cold_fallbacks += warm.lp_stats.cold_fallback;
+      entry.jobs = std::move(plan[gi].jobs);
+      entry.window = plan[gi].window;
+      entry.warm = std::move(warm.exported);
     }
-    const auto& members = groups[gi];
-    NAT_DCHECK(entry.slots.size() == members.size());
-    for (std::size_t p = 0; p < members.size(); ++p) {
-      res.schedule.assignment[static_cast<std::size_t>(members[p])] =
-          entry.slots[p];
-    }
-    res.lp_value += entry.lp_value;
-    res.repairs += entry.repairs;
-    // Most-degraded backend wins: greedy > general > nested.
-    if (entry.backend == Backend::kGreedy ||
-        (entry.backend == Backend::kGeneral &&
-         res.backend == Backend::kNested)) {
-      res.backend = entry.backend;
-    }
-    next.emplace(plan[gi].key, std::move(entry));
+    // Node-based map: the element's address survives later inserts.
+    parts.push_back(&next.emplace(plan[gi].key, std::move(entry))
+                         .first->second.result);
   }
-  res.active_slots = res.schedule.active_slots();
-  if (options_.validate_schedules && !instance_.jobs.empty()) {
-    validate_schedule(instance_, res.schedule);
-  }
+  result_ = assemble_groups(instance_, groups, parts);
   cache_ = std::move(next);
-  result_ = std::move(res);
   solved_ = true;
-}
-
-SolverSession::GroupSolve SolverSession::solve_group(
-    const std::vector<int>& members, const GroupSolve* hint) {
-  GroupSolve out;
-  out.jobs.reserve(members.size());
-  for (int m : members) {
-    out.jobs.push_back(instance_.jobs[static_cast<std::size_t>(m)]);
-  }
-  out.window = union_window(out.jobs);
-
-  Instance sub;
-  sub.g = instance_.g;
-  sub.jobs = out.jobs;
-
-  if (!sub.is_laminar()) {
-    // Crossing windows: dispatch this group to the general 2-approx
-    // backend. No basis is exported (the time-indexed LP's variables do
-    // not map onto the strong LP's), so a later re-solve of this group
-    // starts cold — mapping is a performance channel, never a
-    // correctness one, and the content cache still dedupes repeats.
-    ++stats_.oracle_builds;
-    GeneralSolverOptions general;
-    general.cancel = options_.cancel;
-    const GeneralSolveResult res = solve_general(sub, general);
-    out.backend = res.lp_failed ? Backend::kGreedy : Backend::kGeneral;
-    out.lp_value = res.lp_value;
-    out.repairs = res.repairs;
-    out.active_slots = res.active_slots;
-    out.slots = res.schedule.assignment;
-    return out;
-  }
-
-  LaminarForest forest = LaminarForest::build(sub);
-  forest.canonicalize();
-
-  FeasibilityOracle oracle(forest);
-  oracle.set_cancel(options_.cancel);
-  ++stats_.oracle_builds;
-  std::vector<Time> full(static_cast<std::size_t>(forest.num_nodes()));
-  for (int i = 0; i < forest.num_nodes(); ++i) {
-    full[static_cast<std::size_t>(i)] = forest.node(i).length();
-  }
-  NAT_CHECK_MSG(oracle.feasible(full), "instance is infeasible");
-
-  StrongLp lp = build_strong_lp(forest, options_.lp);
-  out.var_keys = variable_keys(forest, lp);
-
-  lp::SolveOptions lp_options;
-  lp_options.cancel = options_.cancel;
-  lp::WarmOptions warm;
-  warm.canonical = true;
-  warm.export_basis = &out.basis;
-  lp::Basis mapped;
-  if (hint != nullptr && !hint->basis.empty() &&
-      hint->var_keys.size() == hint->basis.variables.size()) {
-    std::unordered_map<std::string_view, lp::VarStatus> old_status;
-    old_status.reserve(hint->var_keys.size());
-    for (std::size_t v = 0; v < hint->var_keys.size(); ++v) {
-      old_status.emplace(hint->var_keys[v], hint->basis.variables[v]);
-    }
-    mapped.variables.assign(out.var_keys.size(), lp::VarStatus::kAtLower);
-    for (std::size_t v = 0; v < out.var_keys.size(); ++v) {
-      auto it = old_status.find(out.var_keys[v]);
-      if (it != old_status.end()) mapped.variables[v] = it->second;
-    }
-    warm.warm = &mapped;
-  }
-  lp::SparseStats lp_stats;
-  lp::Solution sol =
-      lp::solve_sparse_warm(lp.model, lp_options, warm, &lp_stats);
-  NAT_CHECK_MSG(sol.status == lp::Status::kOptimal,
-                "strong LP did not solve: " << lp::to_string(sol.status));
-  stats_.lp_warm_hits += lp_stats.warm_hit;
-  stats_.lp_warm_repairs += lp_stats.warm_repair;
-  stats_.lp_cold_fallbacks += lp_stats.cold_fallback;
-  out.lp_value = sol.objective;
-
-  FractionalSolution frac = unpack(lp, sol);
-  push_down_transform(forest, lp, frac);
-  const std::vector<int> topmost = topmost_positive(forest, frac.x);
-  RoundingResult rounded = round_solution(forest, frac.x, topmost);
-  std::vector<Time> counts = std::move(rounded.x_tilde);
-  out.repairs = repair_open_counts(forest, oracle, counts);
-
-  auto schedule = schedule_with_counts(forest, counts);
-  NAT_CHECK_MSG(schedule.has_value(), "post-repair extraction failed");
-  out.active_slots = schedule->active_slots();
-  out.slots = std::move(schedule->assignment);
-  return out;
 }
 
 }  // namespace nat::at

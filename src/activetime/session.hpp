@@ -1,27 +1,28 @@
 // Incremental delta re-solve engine (docs/INCREMENTAL.md).
 //
-// A SolverSession owns an instance plus every derived solver artifact —
-// laminar forests, strengthened LP models, sparse-simplex bases, warm
-// feasibility-oracle networks, rounded counts, schedule fragments — and
-// accepts typed deltas (AddJob / RemoveJob / ExtendWindow /
-// ShrinkWindow / Retime), re-solving only what a delta invalidates.
+// A SolverSession owns an instance and accepts typed deltas (AddJob /
+// RemoveJob / ExtendWindow / ShrinkWindow / Retime), re-solving only
+// what a delta invalidates. It holds no pipeline of its own: it is a
+// content cache plus warm-basis hints over the per-group kernel
+// (solve_window_group in solver.hpp) that every other surface uses.
 //
-// Localization exploits that the whole 9/5 pipeline is block-separable
-// per *root window group*: jobs whose windows land in disjoint maximal
-// intervals never share an LP row, an oracle arc, a push-down move, or
-// a rounding decision. The session partitions the instance into those
-// groups, caches each group's solve keyed by its content, and after a
-// delta re-solves only groups whose content changed — warm-starting the
-// dirty group's LP from the displaced group's exported basis, mapped
-// across models by content descriptors.
+// Localization exploits that the problem is block-separable per *root
+// window group*: jobs whose windows land in disjoint maximal intervals
+// never share a slot, an LP row, an oracle arc, or a rounding decision.
+// The session partitions the instance into those groups, caches each
+// group's solve keyed by its content, and after a delta re-solves only
+// groups whose content changed — warm-starting the dirty group's LP
+// from the displaced group's exported basis, mapped across models by
+// content descriptors.
 //
-// Determinism contract: a group is solved by the canonicalizing sparse
-// simplex (lp/sparse_simplex.hpp), which terminates at the same optimal
-// vertex whether it started cold or warm. Downstream stages are
-// deterministic functions of that vertex, so an incremental re-solve is
-// BIT-IDENTICAL to a fresh SolverSession built on the same instance —
-// tests/test_session.cpp asserts this on every step of randomized delta
-// walks, and bench/bench_delta.cpp re-asserts it while timing.
+// Determinism contract: the session's group solves use the
+// canonicalizing sparse simplex (lp/sparse_simplex.hpp), which
+// terminates at the same optimal vertex whether it started cold or
+// warm. Downstream stages are deterministic functions of that vertex,
+// so an incremental re-solve is BIT-IDENTICAL to a fresh SolverSession
+// built on the same instance — tests/test_session.cpp asserts this on
+// every step of randomized delta walks, and bench/bench_delta.cpp
+// re-asserts it while timing.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +32,7 @@
 
 #include "activetime/instance.hpp"
 #include "activetime/lp_relaxation.hpp"
-#include "activetime/schedule.hpp"
 #include "activetime/solver.hpp"
-#include "lp/sparse_simplex.hpp"
 #include "util/cancel.hpp"
 
 namespace nat::at {
@@ -75,9 +74,6 @@ using Delta =
 
 struct SessionOptions {
   StrongLpOptions lp;
-  // Validate every assembled schedule against the current instance
-  // (cheap; on by default because sessions are long-lived state).
-  bool validate_schedules = true;
   // Polled at simplex pivots and oracle queries of every group solve.
   const util::CancelToken* cancel = nullptr;
 };
@@ -95,16 +91,10 @@ struct SessionStats {
   std::int64_t lp_cold_fallbacks = 0;
 };
 
-struct SessionResult {
-  Schedule schedule;  // indexed by current job positions
-  std::int64_t active_slots = 0;
-  double lp_value = 0.0;  // sum of the group LP optima
-  int repairs = 0;
-  // Most-degraded backend across the groups of this solve: kNested when
-  // every group was laminar (the 9/5 pipeline), kGeneral when any group
-  // needed the 2-approx, kGreedy when any group's LP failed.
-  Backend backend = Backend::kNested;
-};
+/// The assembled result of every group (assemble_groups): schedule
+/// indexed by current job positions, lp_value the sum of the group LP
+/// optima, backend the most-degraded group's.
+using SessionResult = ActiveTimeResult;
 
 class SolverSession {
  public:
@@ -137,21 +127,11 @@ class SolverSession {
   struct GroupSolve {
     std::vector<Job> jobs;  // group content, in current-instance order
     Interval window{0, 0};  // union of the member windows
-    std::vector<std::vector<Time>> slots;  // per member, sorted
-    std::int64_t active_slots = 0;
-    double lp_value = 0.0;
-    int repairs = 0;
-    // Which pipeline solved this group (laminar groups keep the 9/5
-    // path and its warm-basis machinery; crossing groups dispatch to
-    // solve_general and export no basis).
-    Backend backend = Backend::kNested;
-    lp::Basis basis;                     // exported optimal basis
-    std::vector<std::string> var_keys;   // content key per LP variable
+    ActiveTimeResult result;  // schedule rows in member order
+    WarmBasis warm;           // exported LP basis (laminar groups only)
   };
 
   void resolve();
-  GroupSolve solve_group(const std::vector<int>& members,
-                         const GroupSolve* hint);
 
   Instance instance_;
   SessionOptions options_;
@@ -163,11 +143,5 @@ class SolverSession {
   // the jobs and comparing on hit.
   std::unordered_map<std::uint64_t, GroupSolve> cache_;
 };
-
-/// Splits job indices into root window groups: connected components of
-/// window overlap, each a maximal union interval. Groups are ordered by
-/// window start; members keep ascending index order. Exposed for tests
-/// and the delta fuzz family.
-std::vector<std::vector<int>> window_groups(const Instance& instance);
 
 }  // namespace nat::at

@@ -1,13 +1,16 @@
 #include "activetime/solver.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "activetime/feasibility.hpp"
 #include "activetime/lp_transform.hpp"
 #include "activetime/oracle.hpp"
 #include "activetime/rounding.hpp"
 #include "lp/backend.hpp"
-#include "lp/bounded_simplex.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -50,8 +53,80 @@ int repair_open_counts(const LaminarForest& forest, FeasibilityOracle& oracle,
   return repairs;
 }
 
-NestedSolveResult solve_nested(const Instance& instance,
-                               const NestedSolverOptions& options) {
+namespace {
+
+/// Content key per LP variable, stable across models of overlapping
+/// instances: a node is identified by its interval, virtual flag, and
+/// occurrence rank (canonicalization can create several virtual nodes
+/// with the same hull), a class by its node, processing time, and
+/// member count. Keys that fail to map between two models simply lose
+/// their warm hint — mapping is a performance channel, never a
+/// correctness one.
+std::vector<std::string> variable_keys(const LaminarForest& forest,
+                                       const StrongLp& lp) {
+  std::vector<std::string> nd(forest.num_nodes());
+  std::unordered_map<std::string, int> seen;
+  for (int i = 0; i < forest.num_nodes(); ++i) {
+    const TreeNode& n = forest.node(i);
+    std::string base = std::to_string(n.interval.lo) + ":" +
+                       std::to_string(n.interval.hi) +
+                       (n.is_virtual ? ":v" : ":r");
+    const int occ = seen[base]++;
+    nd[i] = base + ":" + std::to_string(occ);
+  }
+  std::vector<std::string> keys(
+      static_cast<std::size_t>(lp.model.num_variables()));
+  for (int i = 0; i < forest.num_nodes(); ++i) {
+    keys[static_cast<std::size_t>(lp.x_var[i])] = "x|" + nd[i];
+  }
+  for (std::size_t c = 0; c < lp.classes.size(); ++c) {
+    const JobClass& jc = lp.classes[c];
+    const std::string ckey = nd[jc.node] + "|p" +
+                             std::to_string(jc.processing) + "|n" +
+                             std::to_string(jc.count());
+    for (const auto& [node, var] : lp.y_vars[c]) {
+      keys[static_cast<std::size_t>(var)] = "y|" + ckey + "|" + nd[node];
+    }
+  }
+  return keys;
+}
+
+/// The strong LP solve of the laminar pipeline. Cold one-shot solves
+/// use lp::solve_auto; a warm-start channel switches to the
+/// canonicalizing sparse simplex, seeded from the hint's basis mapped
+/// onto this model's variables by content key.
+lp::Solution solve_strong_lp(const LaminarForest& forest, const StrongLp& lp,
+                             const lp::SolveOptions& lp_options,
+                             GroupWarmStart* warm) {
+  if (warm == nullptr) return lp::solve_auto(lp.model, lp_options);
+  warm->exported.variable_keys = variable_keys(forest, lp);
+  const std::vector<std::string>& keys = warm->exported.variable_keys;
+  lp::WarmOptions warm_options;
+  warm_options.canonical = true;
+  warm_options.export_basis = &warm->exported.basis;
+  lp::Basis mapped;
+  const WarmBasis* hint = warm->hint;
+  if (hint != nullptr && !hint->basis.empty() &&
+      hint->variable_keys.size() == hint->basis.variables.size()) {
+    std::unordered_map<std::string_view, lp::VarStatus> old_status;
+    old_status.reserve(hint->variable_keys.size());
+    for (std::size_t v = 0; v < hint->variable_keys.size(); ++v) {
+      old_status.emplace(hint->variable_keys[v], hint->basis.variables[v]);
+    }
+    mapped.variables.assign(keys.size(), lp::VarStatus::kAtLower);
+    for (std::size_t v = 0; v < keys.size(); ++v) {
+      auto it = old_status.find(keys[v]);
+      if (it != old_status.end()) mapped.variables[v] = it->second;
+    }
+    warm_options.warm = &mapped;
+  }
+  return lp::solve_sparse_warm(lp.model, lp_options, warm_options,
+                               &warm->lp_stats);
+}
+
+NestedSolveResult run_nested(const Instance& instance,
+                             const NestedSolverOptions& options,
+                             GroupWarmStart* warm) {
   NestedSolveResult result;
   if (instance.jobs.empty()) return result;
 
@@ -87,8 +162,7 @@ NestedSolveResult solve_nested(const Instance& instance,
     obs::Span span("solve_nested/lp_solve");
     lp::SolveOptions lp_options;
     lp_options.cancel = options.cancel;
-    return options.bounded_lp_backend ? lp::solve_bounded(lp.model, lp_options)
-                                      : lp::solve_auto(lp.model, lp_options);
+    return solve_strong_lp(forest, lp, lp_options, warm);
   }();
   NAT_CHECK_MSG(lps.status == lp::Status::kOptimal,
                 "strong LP did not solve: " << lp::to_string(lps.status));
@@ -193,6 +267,13 @@ NestedSolveResult solve_nested(const Instance& instance,
   return result;
 }
 
+}  // namespace
+
+NestedSolveResult solve_nested(const Instance& instance,
+                               const NestedSolverOptions& options) {
+  return run_nested(instance, options, nullptr);
+}
+
 const char* to_string(Backend backend) {
   switch (backend) {
     case Backend::kNested: return "nested";
@@ -202,15 +283,53 @@ const char* to_string(Backend backend) {
   return "?";
 }
 
-ActiveTimeResult solve_active_time(const Instance& instance,
-                                   const ActiveTimeOptions& options) {
+std::vector<std::vector<int>> window_groups(const Instance& instance) {
+  const int n = static_cast<int>(instance.jobs.size());
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const Job& ja = instance.jobs[static_cast<std::size_t>(a)];
+    const Job& jb = instance.jobs[static_cast<std::size_t>(b)];
+    if (ja.release != jb.release) return ja.release < jb.release;
+    if (ja.deadline != jb.deadline) return ja.deadline > jb.deadline;
+    return a < b;
+  });
+  std::vector<std::vector<int>> groups;
+  Time hi = 0;
+  for (int j : order) {
+    const Job& job = instance.jobs[static_cast<std::size_t>(j)];
+    if (groups.empty() || job.release >= hi) {
+      groups.emplace_back();
+      hi = job.deadline;
+    }
+    groups.back().push_back(j);
+    hi = std::max(hi, job.deadline);
+  }
+  for (auto& g : groups) std::sort(g.begin(), g.end());
+  return groups;
+}
+
+Instance group_instance(const Instance& instance,
+                        const std::vector<int>& members) {
+  Instance group;
+  group.g = instance.g;
+  group.jobs.reserve(members.size());
+  for (int m : members) {
+    group.jobs.push_back(instance.jobs[static_cast<std::size_t>(m)]);
+  }
+  return group;
+}
+
+ActiveTimeResult solve_window_group(const Instance& group,
+                                    const ActiveTimeOptions& options,
+                                    GroupWarmStart* warm) {
   ActiveTimeResult result;
-  if (instance.is_laminar()) {
+  if (group.is_laminar()) {
     static obs::Counter& c = obs::counter("at.dispatch.nested");
     c.add(1);
     NestedSolverOptions nested = options.nested;
     if (options.cancel != nullptr) nested.cancel = options.cancel;
-    NestedSolveResult sub = solve_nested(instance, nested);
+    NestedSolveResult sub = run_nested(group, nested, warm);
     result.backend = Backend::kNested;
     result.schedule = std::move(sub.schedule);
     result.active_slots = sub.active_slots;
@@ -219,9 +338,12 @@ ActiveTimeResult solve_active_time(const Instance& instance,
     result.lp_iterations = sub.lp_iterations;
     return result;
   }
+  // Crossing windows: the time-indexed LP's variables do not map onto
+  // the strong LP's, so no basis is exported and a warm channel is
+  // left untouched.
   GeneralSolverOptions general = options.general;
   if (options.cancel != nullptr) general.cancel = options.cancel;
-  GeneralSolveResult sub = solve_general(instance, general);
+  GeneralSolveResult sub = solve_general(group, general);
   if (sub.lp_failed) {
     static obs::Counter& c = obs::counter("at.dispatch.greedy");
     c.add(1);
@@ -237,6 +359,46 @@ ActiveTimeResult solve_active_time(const Instance& instance,
   result.repairs = sub.repairs;
   result.lp_iterations = sub.lp_iterations;
   return result;
+}
+
+ActiveTimeResult assemble_groups(
+    const Instance& instance, const std::vector<std::vector<int>>& groups,
+    const std::vector<const ActiveTimeResult*>& parts) {
+  NAT_CHECK(groups.size() == parts.size());
+  ActiveTimeResult result;
+  result.schedule.assignment.resize(instance.jobs.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::vector<int>& members = groups[gi];
+    const ActiveTimeResult& part = *parts[gi];
+    NAT_CHECK(part.schedule.assignment.size() == members.size());
+    for (std::size_t p = 0; p < members.size(); ++p) {
+      result.schedule.assignment[static_cast<std::size_t>(members[p])] =
+          part.schedule.assignment[p];
+    }
+    result.lp_value += part.lp_value;
+    result.repairs += part.repairs;
+    result.lp_iterations += part.lp_iterations;
+    // Most-degraded backend wins: greedy > general > nested.
+    result.backend = std::max(result.backend, part.backend);
+  }
+  result.active_slots = result.schedule.active_slots();
+  if (!instance.jobs.empty()) validate_schedule(instance, result.schedule);
+  return result;
+}
+
+ActiveTimeResult solve_active_time(const Instance& instance,
+                                   const ActiveTimeOptions& options) {
+  const std::vector<std::vector<int>> groups = window_groups(instance);
+  std::vector<ActiveTimeResult> solved;
+  solved.reserve(groups.size());
+  for (const std::vector<int>& members : groups) {
+    solved.push_back(
+        solve_window_group(group_instance(instance, members), options));
+  }
+  std::vector<const ActiveTimeResult*> parts;
+  parts.reserve(solved.size());
+  for (const ActiveTimeResult& r : solved) parts.push_back(&r);
+  return assemble_groups(instance, groups, parts);
 }
 
 double strong_lp_value(const Instance& instance,

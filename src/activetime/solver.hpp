@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "activetime/general.hpp"
@@ -11,6 +12,7 @@
 #include "activetime/lp_relaxation.hpp"
 #include "activetime/schedule.hpp"
 #include "activetime/tree.hpp"
+#include "lp/sparse_simplex.hpp"
 #include "util/cancel.hpp"
 #include "verify/verify.hpp"
 
@@ -32,10 +34,6 @@ struct NestedSolverOptions {
   // removes slots, so the 9/5 guarantee is preserved; off by default so
   // the default pipeline is the paper's algorithm verbatim.
   bool trim_rounded = false;
-  // LP backend: the bounded-variable simplex handles x(i) <= L(i)
-  // bounds natively (no bound rows) and is usually faster on large
-  // instances; both backends produce the same optimum.
-  bool bounded_lp_backend = false;
   // Cooperative cancellation/deadline (util/cancel.hpp): polled at
   // every simplex pivot, oracle query, repair step, and trim step, so
   // a fired token aborts the solve with CancelledError at the next
@@ -57,8 +55,10 @@ struct NestedSolveResult {
   std::int64_t lp_iterations = 0;
 };
 
-/// Solves a laminar instance. NAT_CHECKs laminarity and feasibility
-/// (the instance must fit when every slot is open).
+/// Solves a laminar instance as one strengthened LP. NAT_CHECKs
+/// laminarity and feasibility (the instance must fit when every slot is
+/// open). This is the laminar branch of solve_window_group; called on a
+/// multi-group instance it solves all groups in one monolithic LP.
 NestedSolveResult solve_nested(const Instance& instance,
                                const NestedSolverOptions& options = {});
 
@@ -66,8 +66,7 @@ class FeasibilityOracle;
 
 /// Opens additional region slots until `counts` is flow-feasible.
 /// Only ever triggered by floating-point slack in the LP; returns the
-/// number of increments. Shared by solve_nested and the incremental
-/// session (activetime/session.*).
+/// number of increments.
 int repair_open_counts(const LaminarForest& forest, FeasibilityOracle& oracle,
                        std::vector<Time>& counts);
 
@@ -75,11 +74,12 @@ int repair_open_counts(const LaminarForest& forest, FeasibilityOracle& oracle,
 double strong_lp_value(const Instance& instance,
                        const StrongLpOptions& options = {});
 
-/// --- Laminarity auto-dispatch --------------------------------------------
+/// --- Per-group dispatch --------------------------------------------------
 
 /// Which pipeline actually solved the instance. Every service record
 /// (batch cell, session op, daemon response) carries the tag as its
-/// `backend` field.
+/// `backend` field; for a multi-group instance it is the most-degraded
+/// tag across the groups. Enumerators are ordered by degradation.
 enum class Backend {
   kNested,   // laminar: the 9/5 pipeline (solve_nested)
   kGeneral,  // non-laminar: the LP-rounding 2-approx (solve_general)
@@ -89,8 +89,8 @@ enum class Backend {
 const char* to_string(Backend backend);
 
 struct ActiveTimeOptions {
-  NestedSolverOptions nested;    // used on the laminar path
-  GeneralSolverOptions general;  // used on the non-laminar path
+  NestedSolverOptions nested;    // used on laminar groups
+  GeneralSolverOptions general;  // used on crossing groups
   // Convenience: when set, overrides the cancel token of both paths.
   const util::CancelToken* cancel = nullptr;
 };
@@ -99,15 +99,62 @@ struct ActiveTimeResult {
   Backend backend = Backend::kNested;
   Schedule schedule;
   std::int64_t active_slots = 0;
-  double lp_value = 0.0;  // strengthened LP (nested) / natural LP (general)
+  // Sum over window groups of the group's LP optimum: the strengthened
+  // LP on laminar groups, the natural time-indexed LP on crossing ones
+  // (0 for a group whose LP failed).
+  double lp_value = 0.0;
   int repairs = 0;
   std::int64_t lp_iterations = 0;
 };
 
-/// Front-end dispatcher: tests Instance::is_laminar() (O(n log n)) and
-/// routes laminar instances to solve_nested — bit-identical to calling
-/// it directly — and everything else to solve_general. `backend`
-/// records which path ran; at.dispatch.* counters track the split.
+/// Splits job indices into root window groups: connected components of
+/// window overlap, each a maximal union interval. Groups are ordered by
+/// window start; members keep ascending index order. Groups share no
+/// slot, so the instance's problem is exactly the disjoint union of the
+/// groups' problems.
+std::vector<std::vector<int>> window_groups(const Instance& instance);
+
+/// The sub-instance of `members` (same g, jobs in member order).
+Instance group_instance(const Instance& instance,
+                        const std::vector<int>& members);
+
+/// An exported optimal basis of a laminar group's strengthened LP, with
+/// a content key per LP variable so it can seed a related model.
+struct WarmBasis {
+  lp::Basis basis;
+  std::vector<std::string> variable_keys;
+};
+
+/// Warm-start channel of solve_window_group, used by the incremental
+/// session only. Passing one switches the laminar LP to the
+/// canonicalizing sparse simplex, which lands on the same vertex with
+/// any hint or none, so outputs never depend on the hint.
+struct GroupWarmStart {
+  const WarmBasis* hint = nullptr;  // in: previous basis; nullptr = cold
+  WarmBasis exported;               // out: laminar groups only
+  lp::SparseStats lp_stats;         // out: warm-start ladder counts
+};
+
+/// The one place a window group is solved: laminar groups run the 9/5
+/// pipeline (solve_nested's stages, spans and verify level), crossing
+/// groups run solve_general. Without `warm` the laminar LP goes through
+/// lp::solve_auto, exactly as solve_nested does.
+ActiveTimeResult solve_window_group(const Instance& group,
+                                    const ActiveTimeOptions& options,
+                                    GroupWarmStart* warm = nullptr);
+
+/// Concatenates per-group results into one result for `instance`:
+/// maps each group's schedule rows back to job positions, sums lp_value,
+/// repairs and LP iterations, keeps the most-degraded backend, and
+/// validates the assembled schedule. `parts[i]` solves `groups[i]`.
+ActiveTimeResult assemble_groups(
+    const Instance& instance, const std::vector<std::vector<int>>& groups,
+    const std::vector<const ActiveTimeResult*>& parts);
+
+/// Front-end: window_groups + solve_window_group per group +
+/// assemble_groups. On a laminar single-group instance it is
+/// bit-identical to solve_nested; at.dispatch.* counters count groups
+/// per backend.
 ActiveTimeResult solve_active_time(const Instance& instance,
                                    const ActiveTimeOptions& options = {});
 

@@ -82,8 +82,11 @@ class Json {
   std::string dump(int indent = -1) const;
 
   /// Strict parse of a complete JSON document. Throws util::CheckError
-  /// on malformed input or trailing garbage.
+  /// on malformed input, trailing garbage, or arrays/objects nested
+  /// deeper than kMaxParseDepth (the parser recurses per level, so an
+  /// unbounded depth would let one hostile line overflow the stack).
   static Json parse(std::string_view text);
+  static constexpr int kMaxParseDepth = 256;
 
  private:
   Type type_ = Type::kNull;

@@ -185,22 +185,17 @@ CellResult solve_cell(const BatchItem& item, int index,
       r.lp_value = res.nominal.lp_value;
       r.robust_lo = res.robust_lo;
       r.robust_hi = res.robust_hi;
-    } else if (solver == "auto") {
+    } else if (solver == "auto" || solver == "nested") {
+      // Both go through the per-group kernel; a "nested" instance is
+      // laminar (checked above), so every group takes the 9/5 path.
       at::ActiveTimeOptions dispatch;
       dispatch.nested = options.nested;
       dispatch.general = options.general;
       dispatch.cancel = cancel;
       const at::ActiveTimeResult res = at::solve_active_time(instance,
                                                              dispatch);
-      r.solver = to_string(res.backend);  // the path auto resolved to
+      r.solver = solver == "auto" ? to_string(res.backend) : solver;
       r.backend = to_string(res.backend);
-      r.active_slots = res.active_slots;
-      r.lp_value = res.lp_value;
-    } else if (solver == "nested") {
-      at::NestedSolverOptions nested = options.nested;
-      nested.cancel = cancel;
-      const at::NestedSolveResult res = at::solve_nested(instance, nested);
-      r.backend = "nested";
       r.active_slots = res.active_slots;
       r.lp_value = res.lp_value;
     } else if (solver == "general") {

@@ -80,11 +80,12 @@ struct CellResult {
 };
 
 struct BatchOptions {
-  // "auto" dispatches on laminarity (at::solve_active_time): nested
-  // 9/5 pipeline for laminar instances, the general LP-rounding
-  // 2-approx otherwise (greedy when its LP fails). "nested", "general",
-  // "greedy", "exact" force that solver (nested/exact reject
-  // non-laminar instances with an input:laminar error record).
+  // "auto" dispatches per window group (at::solve_active_time): the
+  // nested 9/5 pipeline for laminar groups, the general LP-rounding
+  // 2-approx for crossing ones (greedy when its LP fails). "nested",
+  // "general", "greedy", "exact" force that solver (nested/exact reject
+  // non-laminar instances with an input:laminar error record; nested
+  // still solves group by group).
   std::string solver = "auto";
   // Per-cell deadline in milliseconds; 0 disables. A cell that exceeds
   // it yields a kTimeout record.

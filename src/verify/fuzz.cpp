@@ -355,17 +355,30 @@ std::pair<std::string, std::string> check_general_instance(
                 "laminar instance dispatched to backend \"" +
                     std::string(at::to_string(result.backend)) + "\""};
       }
-      // The dispatcher must be a transparent wrapper on laminar input.
+      // On laminar input the dispatcher must be exactly solve_nested
+      // run on each window group, concatenated.
       at::NestedSolverOptions nested_options;
       nested_options.verify_level = VerifyLevel::kFull;
-      const at::NestedSolveResult nested =
-          at::solve_nested(instance, nested_options);
-      if (result.schedule.assignment != nested.schedule.assignment ||
-          result.active_slots != nested.active_slots) {
+      at::Schedule concatenated;
+      concatenated.assignment.resize(instance.jobs.size());
+      double lp_sum = 0.0;
+      for (const std::vector<int>& members : at::window_groups(instance)) {
+        const at::NestedSolveResult nested = at::solve_nested(
+            at::group_instance(instance, members), nested_options);
+        for (std::size_t p = 0; p < members.size(); ++p) {
+          concatenated.assignment[static_cast<std::size_t>(members[p])] =
+              nested.schedule.assignment[p];
+        }
+        lp_sum += nested.lp_value;
+      }
+      if (result.schedule.assignment != concatenated.assignment ||
+          result.active_slots != concatenated.active_slots() ||
+          result.lp_value != lp_sum) {
         std::ostringstream os;
         os << "dispatcher result (slots " << result.active_slots
-           << ") not bit-identical to solve_nested (slots "
-           << nested.active_slots << ")";
+           << ", LP " << result.lp_value
+           << ") not bit-identical to per-group solve_nested (slots "
+           << concatenated.active_slots() << ", LP " << lp_sum << ")";
         return {"general:laminar_identity", os.str()};
       }
     } else if (result.backend == at::Backend::kNested) {

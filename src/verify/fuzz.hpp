@@ -12,12 +12,12 @@
 // cross-checked against the all-Rational exact pipeline. The general
 // family (run_general_fuzz) mixes crossing-window instances (including
 // the Saha–Purohit-style hard chain) with laminar ones, routes them
-// through the laminarity dispatcher, and asserts
+// through the per-group dispatcher, and asserts
 //
 //   LP <= OPT <= ALG <= 2 * LP  (rationally certified)
 //
 // against the slot-subset brute-force oracle, plus bit-identity with
-// solve_nested on the laminar draws. Every violation is classified by a
+// per-group solve_nested on the laminar draws. Every violation is classified by a
 // stable failure key, greedily delta-debugged down to a minimal
 // instance that still fails the same way, and (optionally) written to
 // corpus/regressions/ as a self-contained `activetime v1` repro file.
@@ -88,7 +88,7 @@ FuzzReport run_fuzz(const FuzzOptions& options);
 
 // --------------------------------------------------------------------------
 // General-windows family: crossing-window instances through the
-// laminarity dispatcher (at::solve_active_time) and the LP-rounding
+// per-group dispatcher (at::solve_active_time) and the LP-rounding
 // 2-approx, certified with the rational verify layer.
 
 struct GeneralFuzzOptions {
@@ -106,7 +106,8 @@ struct GeneralFuzzOptions {
 /// Runs the dispatcher + 2-approx sandwich on one instance. Returns
 /// {failure_class, detail}; both empty when the instance certifies.
 /// Checks, in order: dispatch correctness (laminar -> nested backend,
-/// bit-identical to solve_nested; crossing -> general/greedy), the
+/// bit-identical to solve_nested run on each window group and
+/// concatenated; crossing -> general/greedy), the
 /// rational budget ALG <= 2*LP (general:budget), and the OPT sandwich
 /// LP <= OPT <= ALG against exact_opt_brute_force when the horizon
 /// allows it.

@@ -240,6 +240,29 @@ TEST(Daemon, PoisonedStreamOneRecordPerLineExitsClean) {
   EXPECT_EQ(s.in_flight, 0u);
 }
 
+TEST(Daemon, DeeplyNestedLineBetweenTenantsIsOneParseRecord) {
+  Collector out;
+  DaemonOptions options;
+  options.threads = 1;
+  options.sink = out.sink();
+  Daemon daemon(options);
+  const std::vector<std::string> lines = {
+      std::string(R"({"op":"solve","tenant":"a","id":"a1",)") + kQuickJobs +
+          "}",
+      std::string(400'000, '['),
+      std::string(R"({"op":"solve","tenant":"b","id":"b1",)") + kQuickJobs +
+          "}",
+  };
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(daemon.submit_line(line));
+  }
+  daemon.drain();
+  ASSERT_EQ(out.parsed().size(), lines.size());
+  EXPECT_EQ(field(out.find_index(0), "status"), "solved");
+  EXPECT_EQ(field(out.find_index(1), "failure_class"), "input:parse");
+  EXPECT_EQ(field(out.find_index(2), "status"), "solved");
+}
+
 TEST(Daemon, ServeStreamsRecordsAndDrains) {
   DaemonOptions options;
   options.threads = 2;

@@ -1,8 +1,9 @@
 // The general (non-laminar) LP-rounding 2-approx backend
-// (activetime/general.hpp) and the laminarity dispatcher
+// (activetime/general.hpp) and the per-group dispatcher
 // (at::solve_active_time): differential 2-approx vs the brute-force
-// optimum, bit-identity with solve_nested on laminar input, the hard
-// crossing family, cancellation, and the O(n log n) is_laminar rewrite.
+// optimum, bit-identity with per-group solve_nested on laminar input,
+// mixed laminar/crossing instances, the hard crossing family,
+// cancellation, and the O(n log n) is_laminar rewrite.
 #include "activetime/general.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "activetime/instance.hpp"
 #include "activetime/solver.hpp"
+#include "activetime/time_indexed_lp.hpp"
 #include "baselines/exact.hpp"
 #include "helpers.hpp"
 #include "instances/generators.hpp"
@@ -134,19 +136,107 @@ TEST(General, CancellationPollsInsideRoundingLoop) {
 // ---------------------------------------------------------------------------
 // The dispatcher.
 
-TEST(Dispatch, LaminarBitIdenticalToSolveNested) {
-  for (int id = 0; id < 20; ++id) {
-    const Instance instance = testing::mixed(id);
-    ASSERT_TRUE(instance.is_laminar());
-    const ActiveTimeResult via = solve_active_time(instance);
-    const NestedSolveResult direct = solve_nested(instance);
-    EXPECT_EQ(via.backend, Backend::kNested) << "id " << id;
-    EXPECT_EQ(via.schedule.assignment, direct.schedule.assignment)
-        << "id " << id;
-    EXPECT_EQ(via.active_slots, direct.active_slots) << "id " << id;
-    EXPECT_EQ(via.repairs, direct.repairs) << "id " << id;
-    EXPECT_DOUBLE_EQ(via.lp_value, direct.lp_value) << "id " << id;
+/// Shifts every window of `instance` right by `offset` slots.
+Instance shifted(Instance instance, Time offset) {
+  for (Job& j : instance.jobs) {
+    j.release += offset;
+    j.deadline += offset;
   }
+  return instance;
+}
+
+/// Two mixed-family instances side by side (the larger g for both, which
+/// keeps each feasible), so every draw has several window groups.
+Instance two_groups(int id) {
+  Instance a = testing::mixed(id);
+  const Instance b = testing::mixed(id + 20);
+  a.g = std::max(a.g, b.g);
+  const Time gap = a.horizon().hi + 1 - b.horizon().lo;
+  for (const Job& j : shifted(b, gap).jobs) a.jobs.push_back(j);
+  return a;
+}
+
+TEST(Dispatch, LaminarBitIdenticalToPerGroupSolveNested) {
+  int multi_group = 0;
+  for (int id = 0; id < 20; ++id) {
+    for (const Instance& instance : {testing::mixed(id), two_groups(id)}) {
+      ASSERT_TRUE(instance.is_laminar());
+      const ActiveTimeResult via = solve_active_time(instance);
+      EXPECT_EQ(via.backend, Backend::kNested) << "id " << id;
+      const auto groups = window_groups(instance);
+      multi_group += groups.size() > 1 ? 1 : 0;
+      Schedule concatenated;
+      concatenated.assignment.resize(instance.jobs.size());
+      double lp_value = 0.0;
+      int repairs = 0;
+      for (const std::vector<int>& members : groups) {
+        const NestedSolveResult direct =
+            solve_nested(group_instance(instance, members));
+        for (std::size_t p = 0; p < members.size(); ++p) {
+          concatenated.assignment[static_cast<std::size_t>(members[p])] =
+              direct.schedule.assignment[p];
+        }
+        lp_value += direct.lp_value;
+        repairs += direct.repairs;
+      }
+      EXPECT_EQ(via.schedule.assignment, concatenated.assignment)
+          << "id " << id;
+      EXPECT_EQ(via.active_slots, concatenated.active_slots()) << "id " << id;
+      EXPECT_EQ(via.repairs, repairs) << "id " << id;
+      EXPECT_EQ(via.lp_value, lp_value) << "id " << id;
+      if (groups.size() == 1) {
+        // One group: exactly one monolithic solve_nested call.
+        const NestedSolveResult direct = solve_nested(instance);
+        EXPECT_EQ(via.schedule.assignment, direct.schedule.assignment)
+            << "id " << id;
+        EXPECT_EQ(via.lp_value, direct.lp_value) << "id " << id;
+      }
+    }
+  }
+  EXPECT_GE(multi_group, 20);  // every two_groups draw splits
+}
+
+TEST(Dispatch, MixedInstanceSolvesEachGroupOnItsOwnBackend) {
+  // A crossing group listed first, then a laminar group placed earlier
+  // in time: per-group dispatch must map rows back to job positions.
+  const Instance crossing = shifted(gen::hard_crossing(2, 3), 40);
+  // g+1 unit jobs in one window: the ceiling rows lift the strong LP to
+  // 2 while the natural LP stays at (g+1)/g, so the LP sum below tells
+  // per-group dispatch apart from one natural LP over everything.
+  const Instance laminar = gen::unit_overload(3);
+  ASSERT_FALSE(crossing.is_laminar());
+  ASSERT_TRUE(laminar.is_laminar());
+  ASSERT_LT(laminar.horizon().hi, crossing.horizon().lo);
+  Instance mixed = crossing;
+  mixed.g = laminar.g;
+  for (const Job& j : laminar.jobs) mixed.jobs.push_back(j);
+  Instance crossing_group = crossing;
+  crossing_group.g = laminar.g;
+
+  const ActiveTimeResult res = solve_active_time(mixed);
+  EXPECT_EQ(res.backend, Backend::kGeneral);
+  validate_schedule(mixed, res.schedule);
+
+  // The laminar group keeps the 9/5 pipeline: its rows are exactly
+  // solve_nested on that group alone.
+  const NestedSolveResult nested = solve_nested(laminar);
+  const std::size_t first = crossing.jobs.size();
+  for (std::size_t k = 0; k < laminar.jobs.size(); ++k) {
+    EXPECT_EQ(res.schedule.assignment[first + k], nested.schedule.assignment[k])
+        << "laminar job " << k;
+  }
+
+  // LP value adds up across groups: strong LP on the laminar group,
+  // natural time-indexed LP on the crossing one.
+  ASSERT_GT(strong_lp_value(laminar), natural_lp_value(laminar) + 0.5);
+  const double expected_lp =
+      strong_lp_value(laminar) + natural_lp_value(crossing_group);
+  EXPECT_NEAR(res.lp_value, expected_lp, 1e-9 * (1.0 + expected_lp));
+
+  // The general 2·LP certificate holds on the sum.
+  EXPECT_EQ(verify::check_general_budget(res.active_slots, res.lp_value,
+                                         mixed.horizon().length()),
+            "");
 }
 
 TEST(Dispatch, CrossingRoutesToGeneralBackend) {

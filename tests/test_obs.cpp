@@ -239,6 +239,27 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_THROW(obs::Json::parse("nulL"), util::CheckError);
 }
 
+TEST(Json, ParseCapsNestingDepthInsteadOfOverflowingTheStack) {
+  // A 400 KB line of '[' once recursed once per byte and overflowed the
+  // stack; it must now be an ordinary parse error.
+  EXPECT_THROW(obs::Json::parse(std::string(400'000, '[')),
+               util::CheckError);
+  const std::string deep_object =
+      [] {
+        std::string s;
+        for (int i = 0; i < 100'000; ++i) s += "{\"k\":";
+        return s;
+      }();
+  EXPECT_THROW(obs::Json::parse(deep_object), util::CheckError);
+  // Depth up to the cap still parses.
+  const int cap = obs::Json::kMaxParseDepth;
+  const std::string ok = std::string(cap, '[') + std::string(cap, ']');
+  EXPECT_TRUE(obs::Json::parse(ok).is_array());
+  const std::string over =
+      std::string(cap + 1, '[') + std::string(cap + 1, ']');
+  EXPECT_THROW(obs::Json::parse(over), util::CheckError);
+}
+
 /// Resolves "a/b" paths against the report; counters' own names
 /// contain dots, so '/' separates levels.
 const obs::Json* resolve(const obs::Json& root, const std::string& path) {

@@ -5,7 +5,6 @@
 #include "baselines/exact.hpp"
 #include "helpers.hpp"
 #include "instances/generators.hpp"
-#include "util/thread_pool.hpp"
 
 namespace nat::at {
 namespace {
@@ -88,8 +87,7 @@ TEST_P(OptBoundAgreement, MatchesExactSolverOnEverySubtree) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OptBoundAgreement, ::testing::Range(0, 40));
 
-/// A forest big enough to clear kCeilingSweepSerialCutoff, so pooled
-/// runs take the chunked path rather than the serial fallback.
+/// A forest of at least 96 nodes with uneven subtree sizes.
 LaminarForest big_sweep_forest() {
   gen::RandomLaminarParams params;
   params.g = 3;
@@ -101,9 +99,9 @@ LaminarForest big_sweep_forest() {
   for (int attempt = 0; attempt < 64; ++attempt) {
     LaminarForest f = LaminarForest::build(gen::random_laminar(params, rng));
     f.canonicalize();
-    if (f.num_nodes() >= kCeilingSweepSerialCutoff) return f;
+    if (f.num_nodes() >= 96) return f;
   }
-  ADD_FAILURE() << "could not generate a forest above the sweep cutoff";
+  ADD_FAILURE() << "could not generate a forest of 96+ nodes";
   return LaminarForest::build(Instance{1, {Job{0, 1, 1}}});
 }
 
@@ -113,38 +111,6 @@ TEST(CeilingSweep, MatchesPerNodeBounds) {
   ASSERT_EQ(static_cast<int>(lower.size()), f.num_nodes());
   for (int i = 0; i < f.num_nodes(); ++i) {
     EXPECT_EQ(lower[i], opt_lower_bound(f, i)) << "node " << i;
-  }
-}
-
-TEST(CeilingSweep, BitIdenticalAcrossWorkerCounts) {
-  // The sweep must produce the same vector at 1, 2, and 4 workers —
-  // the strong LP (and therefore every downstream result) is built
-  // from it, so any divergence would make solver output depend on the
-  // machine's core count.
-  const LaminarForest f = big_sweep_forest();
-  ASSERT_GE(f.num_nodes(), kCeilingSweepSerialCutoff);
-  std::vector<int> serial(f.num_nodes());
-  for (int i = 0; i < f.num_nodes(); ++i) {
-    serial[i] = opt_lower_bound(f, i);
-  }
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    util::ThreadPool pool(workers);
-    EXPECT_EQ(ceiling_lower_bounds(f, pool), serial)
-        << "sweep diverged at " << workers << " workers";
-  }
-}
-
-TEST(CeilingSweep, SmallForestTakesSerialPath) {
-  Instance inst;
-  inst.g = 2;
-  inst.jobs = {Job{0, 4, 1}, Job{1, 3, 2}};
-  LaminarForest f = LaminarForest::build(inst);
-  f.canonicalize();
-  ASSERT_LT(f.num_nodes(), kCeilingSweepSerialCutoff);
-  const std::vector<int> lower = ceiling_lower_bounds(f);
-  ASSERT_EQ(static_cast<int>(lower.size()), f.num_nodes());
-  for (int i = 0; i < f.num_nodes(); ++i) {
-    EXPECT_EQ(lower[i], opt_lower_bound(f, i));
   }
 }
 

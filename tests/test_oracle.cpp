@@ -2,8 +2,8 @@
 // from fresh feasible_with_counts solves across arbitrary query
 // sequences — that equivalence is what lets the solver, the exact
 // baseline, and opt_bounds share one warm network. Also covers the
-// parallel ceiling sweep (deterministic for every worker count) and
-// thread-pool reentrancy.
+// per-node OPT_i bounds computed on pool workers (deterministic for
+// every worker count) and thread-pool reentrancy.
 #include "activetime/oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -167,7 +167,7 @@ TEST(Oracle, SubtreeScopeMatchesFullOracleOnSingleTree) {
   }
 }
 
-// --- parallel ceiling sweep ----------------------------------------------
+// --- OPT_i bounds on pool workers ------------------------------------------
 
 TEST(CeilingSweep, DeterministicAcrossWorkerCountsAndGrains) {
   for (int id : {0, 1, 2, 3}) {
@@ -208,11 +208,9 @@ TEST(CeilingSweep, NestedParallelForRunsInlineWithoutDeadlock) {
 }
 
 TEST(CeilingSweep, SolverIdenticalAcrossGlobalPoolUse) {
-  // End-to-end determinism: the strong LP's ceiling rows are built
-  // through the global pool; the per-node bounds must not depend on
-  // who computed them. (The global pool's size is fixed per process,
-  // so this guards the serial-merge contract rather than a specific
-  // worker count.)
+  // Batch and daemon cells build strong LPs on global-pool workers; the
+  // per-node bounds feeding the ceiling rows must not depend on which
+  // thread computed them.
   const LaminarForest f = forest_for(testing::mixed(1));
   const int m = f.num_nodes();
   std::vector<int> first(m), second(m);

@@ -115,6 +115,27 @@ TEST(Service, MixedBatchIsolatesEachFailure) {
   }
 }
 
+// A hostile line of 400 KB of '[' between two healthy lines: one
+// input:parse record in its place, its neighbors solve, order kept.
+TEST(Service, DeeplyNestedLineIsOneParseRecord) {
+  const std::vector<BatchItem> items = {
+      json_item("ok-a", healthy_cell()),
+      json_item("hostile", std::string(400'000, '[')),
+      json_item("ok-b", healthy_cell()),
+  };
+  BatchOptions options;
+  options.threads = 2;
+  const BatchReport report = solve_batch(items, options);
+  ASSERT_EQ(report.cells.size(), 3u);
+  EXPECT_EQ(report.cells[0].id, "ok-a");
+  EXPECT_EQ(report.cells[0].status, CellStatus::kSolved);
+  EXPECT_EQ(report.cells[1].id, "hostile");
+  EXPECT_EQ(report.cells[1].status, CellStatus::kError);
+  EXPECT_EQ(report.cells[1].failure_class, "input:parse");
+  EXPECT_EQ(report.cells[2].id, "ok-b");
+  EXPECT_EQ(report.cells[2].status, CellStatus::kSolved);
+}
+
 // A deadline fired mid-B&B yields a timeout record; the rest of the
 // batch is unaffected.
 TEST(Service, DeadlineMidSearchYieldsTimeoutRecord) {

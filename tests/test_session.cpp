@@ -216,6 +216,52 @@ TEST(Session, RandomWalkUnitJobs) {
   run_walk(std::move(a), 300, 44);
 }
 
+/// Forest family: `roots` independent random laminar trees side by side,
+/// one root window group each.
+Instance make_forest(int roots, int seed) {
+  gen::RandomLaminarParams params;
+  params.g = 4;
+  params.max_depth = 2;
+  params.max_children = 2;
+  params.max_jobs_per_node = 4;
+  util::Rng rng(seed);
+  Instance out;
+  out.g = params.g;
+  Time offset = 0;
+  for (int r = 0; r < roots; ++r) {
+    const Instance tree = gen::random_laminar(params, rng);
+    Time hi = offset;
+    for (Job j : tree.jobs) {
+      j.release += offset;
+      j.deadline += offset;
+      hi = std::max(hi, j.deadline);
+      out.jobs.push_back(j);
+    }
+    offset = hi;
+  }
+  return out;
+}
+
+TEST(Session, OneShotAndSessionOpenAgreeOnForests) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    const Instance forest = make_forest(12, seed);
+    ASSERT_GT(window_groups(forest).size(), 1u);
+    const ActiveTimeResult one_shot = solve_active_time(forest);
+    SolverSession session(forest);
+    const SessionResult& open = session.solve();
+    EXPECT_NEAR(one_shot.lp_value, open.lp_value,
+                1e-6 * (1.0 + std::abs(open.lp_value)))
+        << "seed " << seed;
+    for (const ActiveTimeResult* r : {&one_shot, &open}) {
+      EXPECT_EQ(r->backend, Backend::kNested);
+      validate_schedule(forest, r->schedule);
+      EXPECT_LE(static_cast<double>(r->active_slots),
+                1.8 * r->lp_value + 1e-5)
+          << "seed " << seed;
+    }
+  }
+}
+
 TEST(Session, UntouchedGroupsReuseOracleNetworks) {
   SolverSession session(make_rolling(4, 3, 2));
   session.solve();

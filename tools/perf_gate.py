@@ -24,10 +24,7 @@ Comparison rules (docs/PERFORMANCE.md, "The perf gate"):
     stamp written by bench::write_bench_json). Seconds from different
     machines are not comparable; counts still are.
   * Speedup floors: the sparse-vs-dense speedup of the deep-forest LP
-    cell must stay >= 1.0 (that cell is why the sparse backend exists),
-    and the ceiling-sweep worker speedups must stay >= SWEEP_FLOOR —
-    the latter only on machines with >1 hardware thread, since the
-    sweep intentionally falls back to serial on single-core hosts.
+    cell must stay >= 1.0 (that cell is why the sparse backend exists).
     The incremental-vs-scratch geometric-mean speedup of
     BENCH_delta.json must stay >= DELTA_FLOOR on any hardware (it is
     a ratio of two measurements on the same machine).
@@ -49,7 +46,6 @@ import sys
 SECONDS_TOL = 1.25      # current may be up to 25% slower than baseline
 SECONDS_ABS_SLACK = 0.02  # absolute slack: sub-slack cells are timer noise
 PIVOT_TOL = 0.10        # +-10% on pivot/iteration-style counts
-SWEEP_FLOOR = 0.90      # ceiling-sweep speedup floor (multi-core only)
 
 EXACT_KEYS = {"models", "instances", "rows", "cols", "nodes", "reps",
               "queries", "jobs", "groups", "steps"}
@@ -58,18 +54,14 @@ COUNT_KEYS = {"sparse_pivots", "sparse_bound_flips",
               "groups_resolved", "groups_reused", "lp_warm_hits",
               "lp_warm_repairs", "lp_cold_fallbacks"}
 
-# (file, cell-array key, cell name, speedup key, floor, needs_multicore)
+# (file, cell-array key, cell name, speedup key, floor)
 SPEEDUP_FLOORS = [
     ("BENCH_lp.json", "lp_cells", "strong LP, deep forests",
-     "speedup_vs_dense", 1.0, False),
-    ("BENCH_oracle.json", "ceiling_cells", None,
-     "speedup_workers2", SWEEP_FLOOR, True),
-    ("BENCH_oracle.json", "ceiling_cells", None,
-     "speedup_workers4", SWEEP_FLOOR, True),
+     "speedup_vs_dense", 1.0),
 ]
 
-CELL_ARRAY_KEYS = ("lp_cells", "oracle_cells", "ceiling_cells",
-                   "delta_cells", "general_cells", "robust_cells")
+CELL_ARRAY_KEYS = ("lp_cells", "oracle_cells", "delta_cells",
+                   "general_cells", "robust_cells")
 
 # Top-level (document-wide) ratio floors: (file, key, floor). The
 # incremental session engine must beat from-scratch re-solves by at
@@ -194,20 +186,16 @@ class Gate:
                 self.compare_cell(f"{where}/{arr_key}/{name}", bcell, ccell,
                                   seconds_comparable, slowdown)
 
-        for (f, arr_key, cell_name, key, floor, multicore) in SPEEDUP_FLOORS:
+        for (f, arr_key, cell_name, key, floor) in SPEEDUP_FLOORS:
             if f != fname or arr_key not in cur:
                 continue
-            if multicore and cur_hc < 2:
-                self.note(f"{where}: {key} floor skipped "
-                          f"(single-core host, sweep is serial)")
-                continue
             for ccell in cur[arr_key]:
-                if cell_name is not None and ccell.get("name") != cell_name:
+                if ccell.get("name") != cell_name:
                     continue
                 val = ccell.get(key)
                 if val is None:
                     continue
-                # A slowdown injected into the parallel side drags the
+                # A slowdown injected into the fast side drags the
                 # speedup down too, so the self-test trips these floors
                 # on any hardware.
                 val = val / slowdown
@@ -257,39 +245,7 @@ def main():
                     metavar="FACTOR",
                     help="multiply current seconds by FACTOR (gate self-test;"
                          " the CI job asserts the gate fails at 2.0)")
-    ap.add_argument("--self-test-floors", action="store_true",
-                    help="verify the multicore sweep floors engage: feed the "
-                         "gate a synthetic BENCH_oracle.json stamped with 4 "
-                         "cores and a sub-floor sweep speedup, and exit 0 "
-                         "only if it trips. Works on any host — single-core "
-                         "runners skip the real floors, so without this "
-                         "check a regression there would go unnoticed until "
-                         "someone happens to run on multicore hardware.")
     args = ap.parse_args()
-
-    if args.self_test_floors:
-        doc = {
-            "schema": "self-test",
-            "smoke": True,
-            "cpu": {"hardware_concurrency": 4, "pool_workers": 4},
-            "ceiling_cells": [
-                {"name": "synthetic", "speedup_workers2": SWEEP_FLOOR - 0.2,
-                 "speedup_workers4": SWEEP_FLOOR - 0.2},
-            ],
-        }
-        gate = Gate()
-        gate.compare_doc("BENCH_oracle.json", doc, doc, 1.0)
-        tripped = {msg.split(": ")[0] for msg in gate.failures}
-        expected = {f"BENCH_oracle.json/ceiling_cells/synthetic/{key}"
-                    for key in ("speedup_workers2", "speedup_workers4")}
-        if tripped != expected:
-            print("perf gate: floor self-test FAILED — the sweep floors "
-                  f"did not engage on a 4-core document (got {tripped})",
-                  file=sys.stderr)
-            return 1
-        print("perf gate: floor self-test OK (2- and 4-worker sweep floors "
-              "engage on multicore documents)")
-        return 0
 
     baselines = sorted(f for f in os.listdir(args.baseline_dir)
                        if f.startswith("BENCH_") and f.endswith(".json"))
