@@ -57,9 +57,16 @@ int run_sessions(std::istream& in, bool summary) {
   int index = 0;
   int solved = 0;
   int errors = 0;
-  while (nat::service::read_jsonl_record(in, &line)) {
-    const nat::service::SessionOpResult r =
-        manager.process_line(line, index++);
+  bool over_cap = false;
+  while (nat::service::read_jsonl_record(in, &line, &over_cap)) {
+    nat::service::SessionOpResult r;
+    if (over_cap) {
+      r.index = index++;
+      r.failure_class = nat::service::kLineLimitsClass;
+      r.error = nat::service::line_limits_error();
+    } else {
+      r = manager.process_line(line, index++);
+    }
     (r.status == nat::service::CellStatus::kSolved ? solved : errors) += 1;
     nat::service::write_jsonl_record(std::cout,
                                      nat::service::session_op_to_json(r));
@@ -74,10 +81,12 @@ int run_sessions(std::istream& in, bool summary) {
 
 bool read_stream(std::istream& in, std::vector<nat::service::BatchItem>* out) {
   std::string line;
-  while (nat::service::read_jsonl_record(in, &line)) {
+  bool over_cap = false;
+  while (nat::service::read_jsonl_record(in, &line, &over_cap)) {
     nat::service::BatchItem item;
     item.text = line;
     item.format = nat::service::BatchItem::Format::kJson;
+    item.over_cap = over_cap;
     out->push_back(std::move(item));
   }
   return true;

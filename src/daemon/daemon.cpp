@@ -131,6 +131,22 @@ void Daemon::maybe_dispatch_locked(std::size_t slots) {
   }
 }
 
+bool Daemon::submit_over_cap_line() {
+  static obs::Counter& c_requests = obs::counter("at.daemon.requests");
+  c_requests.add(1);
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    seq = seq_++;
+    ++submitted_;
+    ++errors_;
+  }
+  emit(failure_record(seq, "default", "", "", "error",
+                      service::kLineLimitsClass,
+                      service::line_limits_error()));
+  return !draining();
+}
+
 bool Daemon::submit_line(const std::string& line) {
   static obs::Counter& c_requests = obs::counter("at.daemon.requests");
   c_requests.add(1);
@@ -530,9 +546,10 @@ int Daemon::serve(std::istream& in, std::ostream& out) {
     service::write_jsonl_record(out, record);
   });
   std::string line;
+  bool over_cap = false;
   bool accepting = true;
-  while (accepting && service::read_jsonl_record(in, &line)) {
-    accepting = submit_line(line);
+  while (accepting && service::read_jsonl_record(in, &line, &over_cap)) {
+    accepting = over_cap ? submit_over_cap_line() : submit_line(line);
   }
   drain();
   // Drop the reference to `out` before it can dangle; state (tenants,

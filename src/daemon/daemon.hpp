@@ -135,6 +135,12 @@ class Daemon {
   /// call that carried the shutdown op): callers should stop feeding.
   bool submit_line(const std::string& line);
 
+  /// Answers a line the front-end discarded for exceeding
+  /// service::kMaxJsonlLineBytes: one "input:limits" record under the
+  /// next sequence number, exactly as submit_line answers a line that
+  /// does not parse. Same return contract as submit_line.
+  bool submit_over_cap_line();
+
   /// Dispatch control: while paused, submit_line still admits and
   /// queues but no request starts executing.
   void pause();

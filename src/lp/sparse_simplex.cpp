@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <ranges>
 #include <utility>
 #include <vector>
 
@@ -265,14 +267,13 @@ class SparseSimplex {
       if (varmap_[i].col_neg >= 0) cost_[varmap_[i].col_neg] -= c;
     }
 
-    etas_.clear();
-    eta_nnz_ = 0;
-    pivots_since_refactor_ = 0;
     iterations_ = 0;
     use_bland_ = false;
     stats_ = SparseStats{};
     work_.assign(rows_, 0.0);
+    mark_.assign(rows_, 0);
     duals_.assign(rows_, 0.0);
+    clear_eta_file();
   }
 
   // --- eta-file basis inverse ---------------------------------------------
@@ -298,12 +299,17 @@ class SparseSimplex {
   }
 
   /// Harvests an eta from the FTRAN'd column `w` with pivot row `prow`
-  /// and pushes it onto the file.
-  void append_eta(const std::vector<double>& w, std::size_t prow) {
+  /// and pushes it onto the file. `rows` lists, in ascending order,
+  /// every row where `w` may be nonzero: all rows after a pivot's dense
+  /// FTRAN, the touched pattern inside factor_column.
+  template <class Rows>
+  void append_eta(const std::vector<double>& w, std::size_t prow,
+                  const Rows& rows) {
     Eta e;
     e.prow = static_cast<int>(prow);
     e.pivot = w[prow];
-    for (std::size_t r = 0; r < rows_; ++r) {
+    for (const auto row : rows) {
+      const auto r = static_cast<std::size_t>(row);
       if (r == prow) continue;
       if (std::abs(w[r]) > kDropTol) e.rest.push_back({static_cast<int>(r),
                                                        w[r]});
@@ -311,6 +317,8 @@ class SparseSimplex {
     eta_nnz_ += e.rest.size() + 1;
     etas_.push_back(std::move(e));
   }
+
+  auto all_rows() const { return std::views::iota(std::size_t{0}, rows_); }
 
   void load_column(std::size_t j, std::vector<double>& v) const {
     std::fill(v.begin(), v.end(), 0.0);
@@ -327,46 +335,122 @@ class SparseSimplex {
     return d;
   }
 
-  /// Re-inverts the current basis from its columns: the eta file is
-  /// rebuilt by driving the basis columns in one by one (product-form
-  /// Gaussian elimination), choosing each pivot row by largest
-  /// magnitude among the rows not yet assigned (partial pivoting).
-  /// Columns are processed sparsest-first — the bases here are close to
-  /// triangular, so this ordering keeps the fill (and therefore every
-  /// later FTRAN/BTRAN) near the nonzero count of the basis itself.
-  /// Basic values are recomputed from scratch afterwards, which also
-  /// resets accumulated floating-point drift.
-  void refactorize() {
+  /// Empties the eta file ahead of a factorization (or a cold restart)
+  /// and zeroes `work_`, which factor_column keeps all-zero between
+  /// calls.
+  void clear_eta_file() {
     etas_.clear();
+    eta_of_row_.assign(rows_, -1);
     eta_nnz_ = 0;
     pivots_since_refactor_ = 0;
-    ++stats_.refactorizations;
+    std::fill(work_.begin(), work_.end(), 0.0);
+  }
 
-    std::vector<int> order(basis_);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
+  /// Orders basis candidates sparsest column first, ties by index. The
+  /// bases here are close to triangular, so this ordering keeps the
+  /// fill (and therefore every later FTRAN/BTRAN) near the nonzero
+  /// count of the basis itself.
+  void sort_sparsest_first(std::vector<int>& cols) const {
+    std::sort(cols.begin(), cols.end(), [&](int a, int b) {
       const int na = col_ptr_[a + 1] - col_ptr_[a];
       const int nb = col_ptr_[b + 1] - col_ptr_[b];
       return na != nb ? na < nb : a < b;
     });
-    std::vector<char> row_done(rows_, 0);
-    for (int j : order) {
-      load_column(static_cast<std::size_t>(j), work_);
-      ftran(work_);
-      std::ptrdiff_t prow = -1;
-      double best = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        if (row_done[r]) continue;
-        const double a = std::abs(work_[r]);
-        if (a > best) {
-          best = a;
-          prow = static_cast<std::ptrdiff_t>(r);
+  }
+
+  /// One step of product-form Gaussian elimination over the nonzero
+  /// pattern: scatters column `j` into `work_`, FTRANs it through the
+  /// etas placed so far while recording every row it touches, and
+  /// pivots on the largest-magnitude entry among the rows not yet
+  /// done (ties to the lowest row; partial pivoting). On success the
+  /// eta is appended and `j` becomes the basic column of the pivot row
+  /// (`basis_`, `basic_`, `row_done`); a column dependent on the ones
+  /// before it returns false and changes nothing. The touched rows are
+  /// sorted first, so each eta's `rest` is row-sorted exactly as a
+  /// dense scan would harvest it and the eta file matches a dense
+  /// elimination bit for bit. The cost follows the column's FTRAN'd
+  /// pattern (times a log for the heap), not the row count. `work_` is
+  /// all-zero again on return.
+  bool factor_column(int j, std::vector<char>& row_done) {
+    touched_.clear();
+    for (int k = col_ptr_[j]; k < col_ptr_[j + 1]; ++k) {
+      const int r = col_row_[k];
+      work_[r] = col_val_[k];
+      mark_[r] = 1;
+      touched_.push_back(r);
+    }
+    // An eta acts only if its pivot row is nonzero when its turn comes,
+    // and etas act in file order. A min-heap of eta indices visits
+    // exactly the etas a dense pass would not skip, in the same order:
+    // each row pivots at most one eta of a factorization (eta_of_row_),
+    // queued when the row is first touched, if that eta is still ahead.
+    heap_.clear();
+    for (int r : touched_) {
+      if (eta_of_row_[r] >= 0) heap_.push_back(eta_of_row_[r]);
+    }
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      const int k = heap_.back();
+      heap_.pop_back();
+      const Eta& e = etas_[k];
+      const double t = work_[e.prow];
+      if (t == 0.0) continue;
+      const double s = t / e.pivot;
+      work_[e.prow] = s;
+      for (const auto& [i, a] : e.rest) {
+        work_[i] -= a * s;
+        if (mark_[i]) continue;
+        mark_[i] = 1;
+        touched_.push_back(i);
+        if (eta_of_row_[i] > k) {
+          heap_.push_back(eta_of_row_[i]);
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
         }
       }
-      NAT_CHECK_MSG(prow >= 0 && best > kDropTol,
-                    "sparse simplex: basis singular during refactorization");
-      append_eta(work_, static_cast<std::size_t>(prow));
+    }
+    std::sort(touched_.begin(), touched_.end());
+
+    std::ptrdiff_t prow = -1;
+    double best = 0.0;
+    for (int r : touched_) {
+      if (row_done[r]) continue;
+      const double a = std::abs(work_[r]);
+      if (a > best) {
+        best = a;
+        prow = r;
+      }
+    }
+    const bool placed = prow >= 0 && best > kDropTol;
+    if (placed) {
+      eta_of_row_[prow] = static_cast<int>(etas_.size());
+      append_eta(work_, static_cast<std::size_t>(prow), touched_);
       row_done[prow] = 1;
       basis_[prow] = j;
+      basic_[j] = true;
+    }
+    for (int r : touched_) {
+      work_[r] = 0.0;
+      mark_[r] = 0;
+    }
+    return placed;
+  }
+
+  /// Re-inverts the current basis from its columns: the eta file is
+  /// rebuilt by driving the basis columns in one by one, sparsest
+  /// first (factor_column). Basic values are recomputed from scratch
+  /// afterwards, which also resets accumulated floating-point drift.
+  void refactorize() {
+    clear_eta_file();
+    ++stats_.refactorizations;
+
+    std::vector<int> order(basis_);
+    sort_sparsest_first(order);
+    std::vector<char> row_done(rows_, 0);
+    for (int j : order) {
+      const bool placed = factor_column(j, row_done);
+      NAT_CHECK_MSG(placed,
+                    "sparse simplex: basis singular during refactorization");
     }
     recompute_beta();
   }
@@ -454,7 +538,7 @@ class SparseSimplex {
     const int leaving = basis_[prow];
     at_upper_[leaving] = leave_at_upper;
     basic_[leaving] = false;
-    append_eta(work_, prow);
+    append_eta(work_, prow, all_rows());
     basis_[prow] = static_cast<int>(j);
     basic_[j] = true;
     at_upper_[j] = false;
@@ -566,9 +650,7 @@ class SparseSimplex {
   /// artificial upper bounds that a warm attempt pinned), so the cold
   /// two-phase path can run after a failed import.
   void reset_to_initial_basis() {
-    etas_.clear();
-    eta_nnz_ = 0;
-    pivots_since_refactor_ = 0;
+    clear_eta_file();
     basis_ = initial_basis_;
     std::fill(basic_.begin(), basic_.end(), false);
     for (int j : basis_) basic_[j] = true;
@@ -582,46 +664,22 @@ class SparseSimplex {
   /// completing the basis with each uncovered row's slack/artificial.
   /// Returns false when no nonsingular completion exists.
   bool import_factorize(const std::vector<int>& want, int* drops) {
-    etas_.clear();
-    eta_nnz_ = 0;
-    pivots_since_refactor_ = 0;
+    clear_eta_file();
     ++stats_.refactorizations;
     std::fill(basic_.begin(), basic_.end(), false);
     std::fill(basis_.begin(), basis_.end(), -1);
     std::vector<char> row_done(rows_, 0);
 
     std::vector<int> order(want);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const int na = col_ptr_[a + 1] - col_ptr_[a];
-      const int nb = col_ptr_[b + 1] - col_ptr_[b];
-      return na != nb ? na < nb : a < b;
-    });
+    sort_sparsest_first(order);
 
     std::size_t assigned = 0;
-    auto place = [&](int j) -> bool {
-      load_column(static_cast<std::size_t>(j), work_);
-      ftran(work_);
-      std::ptrdiff_t prow = -1;
-      double best = 0.0;
-      for (std::size_t r = 0; r < rows_; ++r) {
-        if (row_done[r]) continue;
-        const double a = std::abs(work_[r]);
-        if (a > best) {
-          best = a;
-          prow = static_cast<std::ptrdiff_t>(r);
-        }
-      }
-      if (prow < 0 || best <= kDropTol) return false;
-      append_eta(work_, static_cast<std::size_t>(prow));
-      row_done[prow] = 1;
-      basis_[prow] = j;
-      basic_[j] = true;
-      ++assigned;
-      return true;
-    };
-
     for (int j : order) {
-      if (assigned == rows_ || !place(j)) ++*drops;
+      if (assigned < rows_ && factor_column(j, row_done)) {
+        ++assigned;
+      } else {
+        ++*drops;
+      }
     }
     for (std::size_t r = 0; r < rows_; ++r) {
       if (row_done[r]) continue;
@@ -632,12 +690,13 @@ class SparseSimplex {
       bool filled = false;
       for (int j : {slack_col_[r], art_col_[r]}) {
         if (j < 0 || basic_[j]) continue;
-        if (place(j)) {
+        if (factor_column(j, row_done)) {
           filled = true;
           break;
         }
       }
       if (!filled) return false;
+      ++assigned;
     }
     return assigned == rows_;
   }
@@ -733,7 +792,7 @@ class SparseSimplex {
       const int leaving = basis_[static_cast<std::size_t>(lrow)];
       basic_[leaving] = false;
       at_upper_[leaving] = upper_viol;
-      append_eta(work_, static_cast<std::size_t>(lrow));
+      append_eta(work_, static_cast<std::size_t>(lrow), all_rows());
       basis_[static_cast<std::size_t>(lrow)] = static_cast<int>(j);
       basic_[j] = true;
       const double base =
@@ -942,8 +1001,13 @@ class SparseSimplex {
   std::vector<bool> at_upper_;
   std::vector<double> beta_;
 
-  // Scratch.
+  // Work vectors. factor_column keeps `mark_` all-zero between calls.
   std::vector<double> work_, duals_;
+  std::vector<char> mark_;
+  std::vector<int> touched_, heap_;
+  // The eta pivoting on each row since the last clear_eta_file (-1:
+  // none); only factor_column's etas are recorded.
+  std::vector<int> eta_of_row_;
 
   double tol_ = 1e-9, feas_tol_ = 1e-7;
   std::int64_t iterations_ = 0, max_iterations_ = 0, bland_after_ = 0;

@@ -7,9 +7,12 @@
 // each touch a handful of the columns — so the dense tableau backends
 // pay O(rows · cols) per pivot for arithmetic that is almost entirely
 // zeros. This backend stores the standardized matrix in CSC form and
-// keeps the basis inverse as an eta file (product-form updates in the
-// Bartels–Golub tradition: one eta per pivot, periodic refactorization
-// from the basis columns with partial pivoting), so one iteration costs
+// keeps the basis inverse in product form as an eta file: one eta per
+// pivot, plus a periodic refactorization that rebuilds the file from
+// the basis columns (sparsest column first, partial pivoting). The
+// refactorization works over each column's nonzero pattern, so it costs
+// O(nnz(basis) + fill) up to a log factor, not O(rows^2). One iteration
+// costs
 //   BTRAN + pricing       O(nnz(eta file) + nnz(A))
 //   FTRAN + ratio test    O(nnz(eta file) + rows)
 // instead of the dense backends' O(rows · cols) elimination.

@@ -138,6 +138,10 @@ CellResult solve_cell(const BatchItem& item, int index,
     cancel = &own_token;
   }
 
+  if (item.over_cap) {
+    return fail(r, CellStatus::kError, kLineLimitsClass, line_limits_error(),
+                sw);
+  }
   at::Instance instance;
   try {
     instance = item.format == BatchItem::Format::kJson

@@ -6,6 +6,7 @@
 // choice of the batch. Each cell is parsed, validated, solved, and
 // classified entirely inside its own try/catch on a pool worker:
 //
+//   * an over-cap JSONL line  -> status "error",   class "input:limits"
 //   * a malformed payload     -> status "error",   class "input:parse"
 //   * an invalid instance     -> status "error",   class "input:validate"
 //   * an infeasible instance  -> status "error",   class "check:<file>:<line>"
@@ -54,6 +55,10 @@ struct BatchItem {
   std::string id;    // echoed in the record; defaults to "cell-<index>"
   std::string text;  // the payload
   Format format = Format::kJson;
+  // The front-end discarded this line for exceeding
+  // kMaxJsonlLineBytes (service/jsonl.hpp): `text` is empty and the
+  // cell fails with class "input:limits" without parsing anything.
+  bool over_cap = false;
 };
 // JSON job rows may also be 5-element [r, d, p, p_lo, p_hi] to carry a
 // processing-time uncertainty interval (docs/ROBUST.md); native

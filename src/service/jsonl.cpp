@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <ostream>
+#include <streambuf>
 
 #include "verify/verify.hpp"
 
@@ -12,13 +13,49 @@ bool is_jsonl_record(const std::string& line) {
   return first != std::string::npos && line[first] != '#';
 }
 
-bool read_jsonl_record(std::istream& in, std::string* line) {
-  while (std::getline(in, *line)) {
+std::string line_limits_error() {
+  return "input line exceeds the " + std::to_string(kMaxJsonlLineBytes) +
+         "-byte JSONL line cap";
+}
+
+bool read_jsonl_record(std::istream& in, std::string* line, bool* over_cap) {
+  *over_cap = false;
+  for (;;) {
+    // std::getline semantics, except that bytes past the cap are
+    // consumed without being stored.
+    const std::istream::sentry ok(in, /*noskipws=*/true);
+    if (!ok) return false;
+    std::streambuf* buf = in.rdbuf();
+    line->clear();
+    bool extracted = false;
+    bool over = false;
+    for (;;) {
+      const int c = buf->sbumpc();
+      if (c == std::char_traits<char>::eof()) {
+        in.setstate(std::ios::eofbit);
+        break;
+      }
+      extracted = true;
+      if (c == '\n') break;
+      if (line->size() < kMaxJsonlLineBytes) {
+        line->push_back(static_cast<char>(c));
+      } else {
+        over = true;
+      }
+    }
+    if (!extracted) {
+      in.setstate(std::ios::failbit);
+      return false;
+    }
+    if (over) {
+      line->clear();
+      *over_cap = true;
+      return true;
+    }
     if (!is_jsonl_record(*line)) continue;
     if (!line->empty() && line->back() == '\r') line->pop_back();
     return true;
   }
-  return false;
 }
 
 void write_jsonl_record(std::ostream& out, const obs::Json& record) {

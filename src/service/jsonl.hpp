@@ -16,6 +16,7 @@
 // class means the same thing no matter which protocol produced it.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -27,9 +28,24 @@ namespace nat::service {
 /// and not a "#" comment.
 bool is_jsonl_record(const std::string& line);
 
+/// Longest record line a JSONL front-end buffers (1 MiB). No request
+/// may make the reader allocate more than this for one line.
+inline constexpr std::size_t kMaxJsonlLineBytes = std::size_t{1} << 20;
+
+/// Failure class of a line longer than kMaxJsonlLineBytes.
+inline constexpr const char* kLineLimitsClass = "input:limits";
+
+/// The diagnostic an over-cap line's record carries.
+std::string line_limits_error();
+
 /// Reads the next record line into *line, skipping blanks/comments and
-/// stripping one trailing CR. Returns false at end of stream.
-bool read_jsonl_record(std::istream& in, std::string* line);
+/// stripping one trailing CR. Returns false at end of stream. A line
+/// longer than kMaxJsonlLineBytes stops being buffered at the cap and
+/// the rest of it is read and discarded: the call then returns true
+/// with *line empty and *over_cap set, and the caller answers it with
+/// one kLineLimitsClass record. *over_cap is false for every other
+/// line.
+bool read_jsonl_record(std::istream& in, std::string* line, bool* over_cap);
 
 /// Writes one framed record: compact dump + '\n' + flush.
 void write_jsonl_record(std::ostream& out, const obs::Json& record);

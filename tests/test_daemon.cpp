@@ -23,6 +23,7 @@
 #include "daemon/daemon.hpp"
 #include "daemon/fair_queue.hpp"
 #include "obs/report.hpp"
+#include "service/jsonl.hpp"
 #include "util/check.hpp"
 #include "util/fd_streambuf.hpp"
 
@@ -261,6 +262,35 @@ TEST(Daemon, DeeplyNestedLineBetweenTenantsIsOneParseRecord) {
   EXPECT_EQ(field(out.find_index(0), "status"), "solved");
   EXPECT_EQ(field(out.find_index(1), "failure_class"), "input:parse");
   EXPECT_EQ(field(out.find_index(2), "status"), "solved");
+}
+
+// An over-cap line between two tenants' requests on the serve()
+// stream: the reader discards it past the cap and the daemon answers
+// it with one input:limits record; both neighbors solve.
+TEST(Daemon, ServeAnswersOverCapLineWithOneLimitsRecord) {
+  DaemonOptions options;
+  options.threads = 1;
+  Daemon daemon(options);
+  std::istringstream in(
+      std::string(R"({"op":"solve","tenant":"a","id":"a1",)") + kQuickJobs +
+      "}\n" + std::string(service::kMaxJsonlLineBytes + 1, '[') + "\n" +
+      R"({"op":"solve","tenant":"b","id":"b1",)" + kQuickJobs + "}\n");
+  std::ostringstream out;
+  EXPECT_EQ(daemon.serve(in, out), 0);
+  std::istringstream records(out.str());
+  std::string line;
+  std::vector<obs::Json> parsed;
+  while (std::getline(records, line)) parsed.push_back(obs::Json::parse(line));
+  ASSERT_EQ(parsed.size(), 3u);
+  for (const obs::Json& j : parsed) {
+    const std::int64_t index = j.find("index")->as_int();
+    if (index == 1) {
+      EXPECT_EQ(j.find("status")->as_string(), "error");
+      EXPECT_EQ(j.find("failure_class")->as_string(), "input:limits");
+    } else {
+      EXPECT_EQ(j.find("status")->as_string(), "solved");
+    }
+  }
 }
 
 TEST(Daemon, ServeStreamsRecordsAndDrains) {

@@ -3,12 +3,14 @@
 // never a process abort, never a hang, never a leaked exception.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "obs/report.hpp"
 #include "service/batch.hpp"
+#include "service/jsonl.hpp"
 #include "service/sessions.hpp"
 #include "util/check.hpp"
 
@@ -134,6 +136,54 @@ TEST(Service, DeeplyNestedLineIsOneParseRecord) {
   EXPECT_EQ(report.cells[1].failure_class, "input:parse");
   EXPECT_EQ(report.cells[2].id, "ok-b");
   EXPECT_EQ(report.cells[2].status, CellStatus::kSolved);
+}
+
+TEST(Jsonl, OverCapLineIsDiscardedAndFlagged) {
+  const std::string at_cap(kMaxJsonlLineBytes, 'x');
+  std::istringstream in("first\r\n" + std::string(kMaxJsonlLineBytes + 7, '[') +
+                        "\n# comment\n\n" + at_cap + "\nlast");
+  std::string line;
+  bool over_cap = true;
+  ASSERT_TRUE(read_jsonl_record(in, &line, &over_cap));
+  EXPECT_EQ(line, "first");
+  EXPECT_FALSE(over_cap);
+  ASSERT_TRUE(read_jsonl_record(in, &line, &over_cap));
+  EXPECT_TRUE(over_cap);
+  EXPECT_TRUE(line.empty());
+  ASSERT_TRUE(read_jsonl_record(in, &line, &over_cap));
+  EXPECT_FALSE(over_cap);  // exactly at the cap is still a record
+  EXPECT_EQ(line, at_cap);
+  ASSERT_TRUE(read_jsonl_record(in, &line, &over_cap));
+  EXPECT_FALSE(over_cap);
+  EXPECT_EQ(line, "last");  // no trailing newline, like std::getline
+  EXPECT_FALSE(read_jsonl_record(in, &line, &over_cap));
+}
+
+// An over-cap line piped between two healthy lines, read the way
+// batch_solver reads its stream: three records in order, the middle
+// one a typed input:limits error.
+TEST(Service, OverCapLineBetweenHealthyLinesIsOneLimitsRecord) {
+  std::istringstream in(healthy_cell() + "\n" +
+                        std::string(kMaxJsonlLineBytes + 1, ' ') + "{}\n" +
+                        healthy_cell() + "\n");
+  std::vector<BatchItem> items;
+  std::string line;
+  bool over_cap = false;
+  while (read_jsonl_record(in, &line, &over_cap)) {
+    BatchItem item = json_item("", line);
+    item.over_cap = over_cap;
+    items.push_back(std::move(item));
+  }
+  ASSERT_EQ(items.size(), 3u);
+  const BatchReport report = solve_batch(items, {});
+  ASSERT_EQ(report.cells.size(), 3u);
+  EXPECT_EQ(report.cells[0].status, CellStatus::kSolved);
+  EXPECT_EQ(report.cells[1].status, CellStatus::kError);
+  EXPECT_EQ(report.cells[1].failure_class, "input:limits");
+  EXPECT_EQ(report.cells[1].jobs, -1);
+  EXPECT_EQ(report.cells[2].status, CellStatus::kSolved);
+  const obs::Json record = obs::Json::parse(cell_to_json(report.cells[1]));
+  EXPECT_EQ(record.find("failure_class")->as_string(), "input:limits");
 }
 
 // A deadline fired mid-B&B yields a timeout record; the rest of the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "activetime/lp_relaxation.hpp"
 #include "activetime/solver.hpp"
@@ -285,6 +286,209 @@ TEST(SparseSimplexCorpus, TimeIndexedLps) {
     ASSERT_EQ(dense.status, Status::kOptimal);
     EXPECT_NEAR(sparse.objective, dense.objective,
                 1e-9 * (1.0 + std::abs(dense.objective)));
+  }
+}
+
+// --- warm-import ladder (solve_sparse_warm) -------------------------------
+
+/// The strong LP of a contended instance: big enough to refactorize,
+/// fractional enough that its optimal face is not a single vertex.
+Model contended_strong_lp(std::uint64_t seed, int groups) {
+  at::gen::ContendedParams params;
+  params.g = 4;
+  params.min_groups = groups;
+  params.max_groups = groups;
+  util::Rng rng(seed);
+  at::LaminarForest f =
+      at::LaminarForest::build(at::gen::random_contended(params, rng));
+  f.canonicalize();
+  return at::build_strong_lp(f).model;
+}
+
+TEST(SparseSimplexWarm, OwnExportedBasisIsAWarmHit) {
+  // A Basis snapshot records structural statuses only; the import
+  // completes uncovered rows with logical columns. Here y (the only
+  // basic structural; x and z sit at their upper bounds) pivots on row
+  // 0, its largest entry, which leaves rows 1 and 2 to their slacks,
+  // both basic at the optimum: the re-import rebuilds the exporting
+  // basis exactly, so nothing moves.
+  Model m;
+  const int x = m.add_variable("x", 0.0, 3.0, -1.0);
+  const int y = m.add_variable("y", 0.0, kInf, -1.0);
+  const int z = m.add_variable("z", 0.0, 2.0, -3.0);
+  m.add_row(Sense::kLe, 5.0, {{x, 1.0}, {y, 2.0}});
+  m.add_row(Sense::kLe, 10.0, {{x, 1.0}, {y, 1.0}, {z, 1.0}});
+  m.add_row(Sense::kGe, 1.0, {{y, 1.0}, {z, 1.0}});
+  Basis basis;
+  const Solution cold = solve_sparse_warm(m, {}, {nullptr, &basis, false});
+  ASSERT_EQ(cold.status, Status::kOptimal);
+  EXPECT_EQ(basis.variables[y], VarStatus::kBasic);
+
+  SparseStats stats;
+  const Solution warm =
+      solve_sparse_warm(m, {}, {&basis, nullptr, false}, &stats);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  EXPECT_EQ(stats.warm_hit, 1);
+  EXPECT_EQ(stats.warm_repair, 0);
+  EXPECT_EQ(stats.cold_fallback, 0);
+  EXPECT_EQ(stats.pivots, 0);
+  EXPECT_EQ(stats.bound_flips, 0);
+  EXPECT_EQ(stats.dual_pivots, 0);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.x, cold.x);
+}
+
+TEST(SparseSimplexWarm, OwnExportedBasisNeverFallsBackCold) {
+  // On strong LPs the import's logical completion usually differs from
+  // the exporting basis (partial pivoting picks the rows), so the
+  // ladder may need dual pivots: a hit or a repair, never a cold
+  // fallback, and the optimum is the same.
+  for (std::uint64_t seed = 7110; seed < 7118; ++seed) {
+    const Model m = contended_strong_lp(seed, 6);
+    Basis basis;
+    const Solution cold = solve_sparse_warm(m, {}, {nullptr, &basis, false});
+    ASSERT_EQ(cold.status, Status::kOptimal);
+    SparseStats stats;
+    const Solution warm =
+        solve_sparse_warm(m, {}, {&basis, nullptr, false}, &stats);
+    ASSERT_EQ(warm.status, Status::kOptimal);
+    EXPECT_EQ(stats.cold_fallback, 0) << "seed " << seed;
+    EXPECT_EQ(stats.warm_hit + stats.warm_repair, 1) << "seed " << seed;
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-9 * (1.0 + std::abs(cold.objective)));
+  }
+}
+
+TEST(SparseSimplexWarm, DependentBasicColumnsRepairThroughDrops) {
+  // x and y have identical columns, so a hint marking both basic is
+  // singular: the import drops one, patches its row with a logical
+  // column, and the primal phase finishes from there.
+  Model m;
+  const int x = m.add_variable("x", 0.0, 4.0, -1.0);
+  const int y = m.add_variable("y", 0.0, 4.0, -1.0);
+  const int z = m.add_variable("z", 0.0, 3.0, -2.0);
+  m.add_row(Sense::kLe, 5.0, {{x, 1.0}, {y, 1.0}, {z, 1.0}});
+  m.add_row(Sense::kLe, 3.0, {{x, 2.0}, {y, 2.0}});
+  m.add_row(Sense::kGe, 1.0, {{x, 1.0}, {y, 1.0}, {z, -1.0}});
+  const Solution cold = solve_sparse(m);
+  ASSERT_EQ(cold.status, Status::kOptimal);
+
+  Basis hint;
+  hint.variables = {VarStatus::kBasic, VarStatus::kBasic,
+                    VarStatus::kAtLower};
+  SparseStats stats;
+  const Solution warm =
+      solve_sparse_warm(m, {}, {&hint, nullptr, false}, &stats);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  EXPECT_EQ(stats.warm_repair, 1);
+  EXPECT_EQ(stats.warm_hit, 0);
+  EXPECT_EQ(stats.cold_fallback, 0);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_LE(m.max_violation(warm.x), 1e-9);
+}
+
+TEST(SparseSimplexWarm, WrongSizeHintFallsBackToCold) {
+  const Model m = contended_strong_lp(7200, 5);
+  SparseStats cold_stats;
+  const Solution cold = solve_sparse(m, {}, &cold_stats);
+  ASSERT_EQ(cold.status, Status::kOptimal);
+
+  Basis hint;
+  hint.variables.assign(static_cast<std::size_t>(m.num_variables()) + 3,
+                        VarStatus::kBasic);
+  SparseStats stats;
+  const Solution warm =
+      solve_sparse_warm(m, {}, {&hint, nullptr, false}, &stats);
+  ASSERT_EQ(warm.status, Status::kOptimal);
+  EXPECT_EQ(stats.cold_fallback, 1);
+  EXPECT_EQ(stats.warm_hit, 0);
+  EXPECT_EQ(stats.warm_repair, 0);
+  // The fallback is the cold path itself: same pivots, same point.
+  EXPECT_EQ(stats.pivots, cold_stats.pivots);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.x, cold.x);
+}
+
+TEST(SparseSimplexWarm, CanonicalWarmAndColdReachTheSameVertex) {
+  // The face walk makes the vertex independent of the starting basis.
+  // The warm and cold solves reach it through different eta files, so
+  // basic values may differ in the last few ulps, not more.
+  for (std::uint64_t seed : {7300u, 7301u, 7302u}) {
+    const Model m = contended_strong_lp(seed, 6);
+    // The hint is the non-canonical optimum: the warm solve starts from
+    // another vertex of the optimal face than the one the walk ends on.
+    Basis hint;
+    ASSERT_EQ(solve_sparse_warm(m, {}, {nullptr, &hint, false}).status,
+              Status::kOptimal);
+    const Solution cold = solve_sparse_warm(m, {}, {nullptr, nullptr, true});
+    SparseStats stats;
+    const Solution warm =
+        solve_sparse_warm(m, {}, {&hint, nullptr, true}, &stats);
+    ASSERT_EQ(cold.status, Status::kOptimal);
+    ASSERT_EQ(warm.status, Status::kOptimal);
+    EXPECT_EQ(stats.cold_fallback, 0) << "seed " << seed;
+    ASSERT_EQ(warm.x.size(), cold.x.size());
+    for (std::size_t i = 0; i < cold.x.size(); ++i) {
+      EXPECT_NEAR(warm.x[i], cold.x[i], 1e-12)
+          << "seed " << seed << " var " << i;
+    }
+  }
+}
+
+// --- pinned solver statistics ----------------------------------------------
+
+/// Pivot-level statistics of a cold solve_sparse on seeded corpus LPs,
+/// pinned exactly. The pivot sequence is a pure function of the model
+/// and the factorization's arithmetic, so a change to either that moves
+/// one pivot or one eta entry shows up here. If a change means to move
+/// them, re-record the table and say so in the change description.
+struct PinnedStats {
+  std::int64_t pivots, bound_flips, degenerate, refactorizations,
+      eta_nonzeros;
+};
+
+void expect_pinned(const char* name, const Model& m,
+                   const PinnedStats& want) {
+  SparseStats got;
+  ASSERT_EQ(solve_sparse(m, {}, &got).status, Status::kOptimal) << name;
+  EXPECT_EQ(got.pivots, want.pivots) << name;
+  EXPECT_EQ(got.bound_flips, want.bound_flips) << name;
+  EXPECT_EQ(got.degenerate, want.degenerate) << name;
+  EXPECT_EQ(got.refactorizations, want.refactorizations) << name;
+  EXPECT_EQ(got.eta_nonzeros, want.eta_nonzeros) << name;
+}
+
+TEST(SparseSimplexPinned, SpanningTreeStrongLps) {
+  // One long job spanning 24 saturated sibling groups: a single window
+  // tree, the shape whose LP dominates a one-group solve.
+  const PinnedStats want[] = {
+      {274, 59, 202, 3, 2263},
+      {175, 53, 127, 1, 837},
+      {267, 52, 161, 2, 2330},
+  };
+  for (int k = 0; k < 3; ++k) {
+    const std::string name = "contended-24 seed " + std::to_string(7400 + k);
+    expect_pinned(name.c_str(), contended_strong_lp(7400 + k, 24), want[k]);
+  }
+}
+
+TEST(SparseSimplexPinned, TimeIndexedLps) {
+  const PinnedStats want[] = {
+      {360, 57, 278, 3, 2532},
+      {479, 72, 376, 4, 3593},
+      {390, 60, 295, 3, 4368},
+  };
+  for (int k = 0; k < 3; ++k) {
+    at::gen::RandomGeneralParams params;
+    params.g = 4;
+    params.jobs = 60;
+    params.horizon = 80;
+    params.max_length = 10;
+    util::Rng rng(7500 + k);
+    const at::Instance inst = at::gen::random_general(params, rng);
+    const std::string name = "general-60 seed " + std::to_string(7500 + k);
+    expect_pinned(name.c_str(),
+                  at::build_time_indexed_lp(inst).model, want[k]);
   }
 }
 
