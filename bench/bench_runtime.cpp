@@ -14,7 +14,6 @@
 #include "baselines/exact.hpp"
 #include "baselines/greedy.hpp"
 #include "instances/generators.hpp"
-#include "lp/bounded_simplex.hpp"
 #include "lp/dense_simplex.hpp"
 #include "lp/sparse_simplex.hpp"
 #include "util/rng.hpp"
@@ -126,19 +125,6 @@ void BM_ExactBranchAndBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactBranchAndBound)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_LpSolveBounded(benchmark::State& state) {
-  const at::Instance inst = sized_instance(static_cast<int>(state.range(0)));
-  at::LaminarForest f = at::LaminarForest::build(inst);
-  f.canonicalize();
-  at::StrongLp lp = at::build_strong_lp(f);
-  for (auto _ : state) {
-    lp::Solution s = lp::solve_bounded(lp.model);
-    benchmark::DoNotOptimize(s.objective);
-  }
-  state.SetLabel("rows=" + std::to_string(lp.model.num_rows()));
-}
-BENCHMARK(BM_LpSolveBounded)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_LpSolveSparse(benchmark::State& state) {
   const at::Instance inst = sized_instance(static_cast<int>(state.range(0)));

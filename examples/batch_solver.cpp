@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "lp/backend.hpp"
 #include "service/batch.hpp"
 #include "service/jsonl.hpp"
 #include "service/sessions.hpp"
@@ -96,6 +97,15 @@ bool read_stream(std::istream& in, std::vector<nat::service::BatchItem>* out) {
 
 int main(int argc, char** argv) {
   using namespace nat;
+
+  // A stale NAT_LP_BACKEND would fail every solve; refuse it before
+  // reading any input.
+  try {
+    lp::default_backend();
+  } catch (const std::exception& e) {
+    std::cerr << "batch_solver: " << e.what() << '\n';
+    return 2;
+  }
 
   service::BatchOptions options;
   std::vector<service::BatchItem> items;

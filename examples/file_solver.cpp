@@ -23,6 +23,7 @@
 #include "activetime/solver.hpp"
 #include "baselines/greedy.hpp"
 #include "io/serialize.hpp"
+#include "lp/backend.hpp"
 #include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -46,6 +47,14 @@ nat::obs::RunSummary base_summary(const nat::at::Instance& instance) {
 
 int main(int argc, char** argv) {
   using namespace nat;
+  // A stale NAT_LP_BACKEND would fail every solve; refuse it before
+  // reading any input.
+  try {
+    lp::default_backend();
+  } catch (const std::exception& e) {
+    std::cerr << "file_solver: " << e.what() << '\n';
+    return 2;
+  }
   std::string path;
   std::string report_path;
   bool use_greedy = false;

@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include "daemon/daemon.hpp"
+#include "lp/backend.hpp"
 #include "util/fd_streambuf.hpp"
 
 namespace {
@@ -101,6 +102,15 @@ int serve_socket(nat::daemon::Daemon& daemon, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // A stale NAT_LP_BACKEND would fail every solve; refuse it before
+  // reading any input.
+  try {
+    nat::lp::default_backend();
+  } catch (const std::exception& e) {
+    std::cerr << "solver_daemon: " << e.what() << '\n';
+    return 2;
+  }
+
   nat::daemon::DaemonOptions options;
   std::string socket_path;
   bool summary = false;

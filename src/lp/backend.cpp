@@ -3,8 +3,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
-#include "lp/bounded_simplex.hpp"
 #include "lp/sparse_simplex.hpp"
 #include "obs/counters.hpp"
 #include "util/check.hpp"
@@ -14,23 +14,13 @@ namespace nat::lp {
 BackendKind parse_backend(const char* name) {
   if (name == nullptr || *name == '\0') return BackendKind::kSparse;
   if (std::strcmp(name, "sparse") == 0) return BackendKind::kSparse;
-  if (std::strcmp(name, "dense") == 0) return BackendKind::kDense;
-  if (std::strcmp(name, "bounded") == 0) return BackendKind::kBounded;
   if (std::strcmp(name, "check") == 0) return BackendKind::kCheck;
-  NAT_CHECK_MSG(false, "NAT_LP_BACKEND: unknown backend '"
-                           << name
-                           << "' (expected sparse|dense|bounded|check)");
-  return BackendKind::kSparse;
+  throw util::CheckError(std::string("NAT_LP_BACKEND: unknown backend '") +
+                         name + "' (expected sparse|check)");
 }
 
 const char* backend_name(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kSparse: return "sparse";
-    case BackendKind::kDense: return "dense";
-    case BackendKind::kBounded: return "bounded";
-    case BackendKind::kCheck: return "check";
-  }
-  return "?";
+  return kind == BackendKind::kCheck ? "check" : "sparse";
 }
 
 BackendKind default_backend() {
@@ -40,34 +30,23 @@ BackendKind default_backend() {
 
 Solution solve_with(BackendKind kind, const Model& model,
                     const SolveOptions& options) {
-  switch (kind) {
-    case BackendKind::kSparse:
-      return solve_sparse(model, options);
-    case BackendKind::kDense:
-      return solve(model, options);
-    case BackendKind::kBounded:
-      return solve_bounded(model, options);
-    case BackendKind::kCheck: {
-      Solution sparse = solve_sparse(model, options);
-      Solution dense = solve(model, options);
-      static obs::Counter& c_checks = obs::counter("lp.backend.checks");
-      c_checks.add(1);
-      NAT_CHECK_MSG(sparse.status == dense.status,
-                    "lp backend check: status mismatch (sparse="
-                        << to_string(sparse.status) << ", dense="
-                        << to_string(dense.status) << ")");
-      if (sparse.status == Status::kOptimal) {
-        const double diff = std::abs(sparse.objective - dense.objective);
-        NAT_CHECK_MSG(
-            diff <= kCheckRelTol * (1.0 + std::abs(dense.objective)),
-            "lp backend check: objective mismatch (sparse="
-                << sparse.objective << ", dense=" << dense.objective << ")");
-      }
-      return sparse;
-    }
+  Solution sparse = solve_sparse(model, options);
+  if (kind == BackendKind::kSparse) return sparse;
+  Solution dense = solve(model, options);
+  static obs::Counter& c_checks = obs::counter("lp.backend.checks");
+  c_checks.add(1);
+  NAT_CHECK_MSG(sparse.status == dense.status,
+                "lp backend check: status mismatch (sparse="
+                    << to_string(sparse.status) << ", dense="
+                    << to_string(dense.status) << ")");
+  if (sparse.status == Status::kOptimal) {
+    const double diff = std::abs(sparse.objective - dense.objective);
+    NAT_CHECK_MSG(
+        diff <= kCheckRelTol * (1.0 + std::abs(dense.objective)),
+        "lp backend check: objective mismatch (sparse="
+            << sparse.objective << ", dense=" << dense.objective << ")");
   }
-  NAT_CHECK_MSG(false, "unreachable backend kind");
-  return {};
+  return sparse;
 }
 
 Solution solve_auto(const Model& model, const SolveOptions& options) {

@@ -2,17 +2,20 @@
 //
 // Every LP hot path in the repository — the strong LP of solve_nested,
 // the time-indexed LPs, and the LP-based exact B&B baseline — solves
-// through solve_auto() so one environment switch picks the backend:
+// through solve_auto(), which runs the sparse revised simplex; one
+// environment switch adds a differential check:
 //
-//   NAT_LP_BACKEND=sparse   sparse revised simplex (the default)
-//   NAT_LP_BACKEND=dense    dense two-phase tableau (lp/dense_simplex)
-//   NAT_LP_BACKEND=bounded  dense bounded-variable tableau
+//   NAT_LP_BACKEND=sparse   sparse revised simplex (the default, also
+//                           when unset)
 //   NAT_LP_BACKEND=check    sparse, differentially checked against the
-//                           dense backend on every solve (status must
-//                           match; objectives within kCheckRelTol) —
-//                           the dense backend stays the oracle
+//                           dense tableau (lp/dense_simplex) on every
+//                           solve (status must match; objectives within
+//                           kCheckRelTol) — the dense tableau stays the
+//                           oracle
 //
-// The variable is read once per process (first solve_auto call).
+// The variable is read once per process (first default_backend call);
+// the CLIs call default_backend() at startup so a stale value stops
+// them before any input is read.
 #pragma once
 
 #include "lp/dense_simplex.hpp"
@@ -20,13 +23,14 @@
 
 namespace nat::lp {
 
-enum class BackendKind { kSparse, kDense, kBounded, kCheck };
+enum class BackendKind { kSparse, kCheck };
 
 /// Relative objective tolerance of the `check` backend's differential
 /// comparison (scaled by 1 + |objective|).
 inline constexpr double kCheckRelTol = 1e-7;
 
-/// Parses a NAT_LP_BACKEND value; NAT_CHECK-fails on unknown names.
+/// Parses a NAT_LP_BACKEND value; throws util::CheckError naming the
+/// accepted values (sparse|check) on anything else.
 BackendKind parse_backend(const char* name);
 
 const char* backend_name(BackendKind kind);

@@ -1,29 +1,30 @@
 // Sparse revised simplex (bounded variables, product-form inverse).
 //
-// The third floating-point backend, and the default for every LP hot
-// path in this repository (see lp/backend.hpp for the NAT_LP_BACKEND
-// switch). The LP (1) constraint matrix is tree-structured and
-// extremely sparse — coverage, capacity, per-job-cap, and ceiling rows
-// each touch a handful of the columns — so the dense tableau backends
-// pay O(rows · cols) per pivot for arithmetic that is almost entirely
-// zeros. This backend stores the standardized matrix in CSC form and
-// keeps the basis inverse in product form as an eta file: one eta per
-// pivot, plus a periodic refactorization that rebuilds the file from
-// the basis columns (sparsest column first, partial pivoting). The
-// refactorization works over each column's nonzero pattern, so it costs
-// O(nnz(basis) + fill) up to a log factor, not O(rows^2). One iteration
-// costs
+// The production floating-point backend for every LP hot path in this
+// repository (lp/backend.hpp; NAT_LP_BACKEND=check cross-checks it
+// against the dense tableau). The LP (1) constraint matrix is
+// tree-structured and extremely sparse — coverage, capacity,
+// per-job-cap, and ceiling rows each touch a handful of the columns —
+// so a dense tableau pays O(rows · cols) per pivot for arithmetic that
+// is almost entirely zeros. This backend stores the standardized
+// matrix in CSC form and keeps the basis inverse in product form as an
+// eta file: one eta per pivot, plus a periodic refactorization that
+// rebuilds the file from the basis columns (sparsest column first,
+// partial pivoting). The refactorization works over each column's
+// nonzero pattern, so it costs O(nnz(basis) + fill) up to a log
+// factor, not O(rows^2). One iteration costs
 //   BTRAN + pricing       O(nnz(eta file) + nnz(A))
 //   FTRAN + ratio test    O(nnz(eta file) + rows)
-// instead of the dense backends' O(rows · cols) elimination.
+// instead of the dense tableau's O(rows · cols) elimination.
 //
-// Shares the bounded-variable machinery with lp/bounded_simplex.*:
-// nonbasic variables sit at either bound, the ratio test can end in a
-// bound flip without a pivot, and no `x <= u` rows are materialized.
+// Bounded variables are native (Dantzig upper-bounding): nonbasic
+// variables sit at either bound, the ratio test can end in a bound
+// flip without a pivot, and no `x <= u` rows are materialized.
 // Pricing is Dantzig with a permanent Bland fallback after a stall
 // threshold (finite termination on degenerate/cycling-prone LPs).
-// Differentially tested against the dense and bounded backends on the
-// LP corpus and random sweeps (tests/test_sparse_simplex.cpp).
+// Differentially tested against the dense tableau and the exact
+// rational simplex on the LP corpus and random sweeps
+// (tests/test_sparse_simplex.cpp).
 //
 // Warm starts (docs/INCREMENTAL.md): solve_sparse_warm accepts a Basis
 // exported from a previous solve of a *similar* model, factorizes it
@@ -87,7 +88,7 @@ struct WarmOptions {
 };
 
 /// Solves `model` (minimization) with the sparse revised simplex.
-/// Status/objective agree with lp::solve and lp::solve_bounded up to
+/// Status/objective agree with lp::solve and lp::solve_exact up to
 /// tolerances.
 Solution solve_sparse(const Model& model, const SolveOptions& options = {},
                       SparseStats* stats = nullptr);

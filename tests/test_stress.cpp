@@ -9,7 +9,6 @@
 #include "baselines/exact.hpp"
 #include "baselines/greedy.hpp"
 #include "helpers.hpp"
-#include "lp/backend.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nat::at {
@@ -80,26 +79,6 @@ TEST(Stress, GreedyAllOrdersLargeFuzz) {
       }
     }
   });
-}
-
-TEST(Stress, BoundedBackendMatchesDenseOnRealLps) {
-  // The strengthened LPs of real instances are the workload the
-  // bounded-variable backend exists for (NAT_LP_BACKEND=bounded routes
-  // every solve through it); it must agree with the dense backend on
-  // the optimum of every model.
-  for (int id = 0; id < 30; ++id) {
-    LaminarForest forest = LaminarForest::build(testing::mixed(id));
-    forest.canonicalize();
-    const StrongLp lp = build_strong_lp(forest);
-    const lp::Solution dense = lp::solve_with(lp::BackendKind::kDense,
-                                              lp.model);
-    const lp::Solution bounded = lp::solve_with(lp::BackendKind::kBounded,
-                                                lp.model);
-    ASSERT_EQ(dense.status, lp::Status::kOptimal) << "instance " << id;
-    ASSERT_EQ(bounded.status, lp::Status::kOptimal) << "instance " << id;
-    EXPECT_NEAR(dense.objective, bounded.objective, 1e-5)
-        << "instance " << id;
-  }
 }
 
 TEST(Stress, CertificateAgreesWithFlowOnDenseSweeps) {
