@@ -54,7 +54,7 @@ int main() {
     without.ceiling_constraints = false;
     const double lp_with = at::strong_lp_value(inst, with);
     const double lp_without = at::strong_lp_value(inst, without);
-    at::NestedSolverOptions ablated;
+    at::ActiveTimeOptions ablated;
     ablated.lp.ceiling_constraints = false;
     at::NestedSolveResult r = at::solve_nested(inst, ablated);
     a.add_row({io::Table::num(g), io::Table::num(lp_with),
@@ -87,7 +87,7 @@ int main() {
           bench::contended_instance(static_cast<int>(id), 4);
       auto opt = at::baselines::exact_opt_laminar(inst);
       if (!opt.has_value()) return;
-      at::NestedSolverOptions options;
+      at::ActiveTimeOptions options;
       options.lp.ceiling_constraints = variant.ceiling;
       options.naive_rounding = variant.naive;
       options.trim_rounded = variant.trim;
@@ -115,7 +115,7 @@ int main() {
     std::vector<std::string> row{io::Table::num(g), io::Table::num(opt)};
     for (const Variant& variant :
          {variants[0], variants[1], variants[2], variants[3]}) {
-      at::NestedSolverOptions options;
+      at::ActiveTimeOptions options;
       options.lp.ceiling_constraints = variant.ceiling;
       options.naive_rounding = variant.naive;
       options.trim_rounded = variant.trim;

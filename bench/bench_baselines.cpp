@@ -62,7 +62,7 @@ int main() {
         ratios.push_back(static_cast<double>(r.active_slots) / optv);
       }
       at::NestedSolveResult nested = at::solve_nested(inst);
-      at::NestedSolverOptions trim_opt;
+      at::ActiveTimeOptions trim_opt;
       trim_opt.trim_rounded = true;
       at::NestedSolveResult trimmed = at::solve_nested(inst, trim_opt);
       std::lock_guard lk(mu);

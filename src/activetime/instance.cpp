@@ -22,6 +22,9 @@ void Instance::validate() const {
     const Job& job = jobs[j];
     NAT_CHECK_MSG(job.processing >= 1,
                   "job " << j << ": processing must be >= 1");
+    Time end = 0;  // r + p, checked before the window test computes it
+    NAT_CHECK_MSG(!__builtin_add_overflow(job.release, job.processing, &end),
+                  "job " << j << ": release + processing overflows int64");
     NAT_CHECK_MSG(job.deadline >= job.release + job.processing,
                   "job " << j << ": window " << job.window()
                          << " shorter than processing " << job.processing);
@@ -34,12 +37,35 @@ void Instance::validate() const {
                            << job.processing_lo << "," << job.processing_hi
                            << "] must bracket processing "
                            << job.processing);
+      NAT_CHECK_MSG(
+          !__builtin_add_overflow(job.release, job.processing_hi, &end),
+          "job " << j << ": release + processing_hi overflows int64");
       NAT_CHECK_MSG(job.deadline >= job.release + job.processing_hi,
                     "job " << j << ": window " << job.window()
                            << " shorter than worst-case processing "
                            << job.processing_hi);
     }
   }
+  // Quantities the solvers derive from the whole instance: the
+  // worst-case volume sum(max(p, p_hi)), the horizon length (which
+  // bounds every window length d - r), and g * horizon length (which
+  // bounds every region capacity g * L(i) and their sum).
+  std::int64_t volume = 0;
+  for (const Job& job : jobs) {
+    NAT_CHECK_MSG(!__builtin_add_overflow(
+                      volume, std::max(job.processing, job.processing_hi),
+                      &volume),
+                  "instance: total processing volume overflows int64");
+  }
+  if (jobs.empty()) return;
+  const Interval h = horizon();
+  Time length = 0;
+  NAT_CHECK_MSG(!__builtin_sub_overflow(h.hi, h.lo, &length),
+                "instance: horizon length of " << h << " overflows int64");
+  std::int64_t capacity = 0;
+  NAT_CHECK_MSG(!__builtin_mul_overflow(g, length, &capacity),
+                "instance: g * horizon length = " << g << " * " << length
+                                                   << " overflows int64");
 }
 
 bool Instance::has_processing_intervals() const {
@@ -112,7 +138,7 @@ bool Instance::is_laminar() const {
 }
 
 std::int64_t Instance::volume_lower_bound() const {
-  return (total_volume() + g - 1) / g;
+  return ceil_div(total_volume(), g);
 }
 
 std::string summary(const Instance& instance) {

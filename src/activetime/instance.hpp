@@ -17,7 +17,11 @@ struct Instance {
 
   /// Throws util::CheckError when malformed (g < 1, p < 1, a window
   /// shorter than its job's processing time, or an uncertainty
-  /// interval violating 1 <= p_lo <= p <= p_hi <= window length).
+  /// interval violating 1 <= p_lo <= p <= p_hi <= window length), or
+  /// when a quantity the solvers derive would overflow int64: r + p,
+  /// r + p_hi, the worst-case total volume sum(max(p, p_hi)), the
+  /// horizon length (which bounds every d - r), or g * horizon length
+  /// (which bounds every region capacity g * L(i)).
   void validate() const;
 
   /// True when any job carries a [p_lo, p_hi] uncertainty interval
@@ -45,6 +49,12 @@ struct Instance {
   /// ceil(total volume / g): trivial lower bound on active slots.
   std::int64_t volume_lower_bound() const;
 };
+
+/// ceil(a / b) for a >= 0 and b >= 1, without forming a + b - 1, which
+/// wraps for the g near 2^63 that validate() admits on short horizons.
+inline std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return a / b + (a % b != 0);
+}
 
 /// Returns a human-readable one-line summary ("n=5 g=2 horizon=[0,10)").
 std::string summary(const Instance& instance);

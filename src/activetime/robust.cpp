@@ -58,12 +58,8 @@ double corner_lp_value(const Instance& corner, const StrongLpOptions& lp) {
 }  // namespace
 
 RobustSolveResult solve_robust(const Instance& instance,
-                               const RobustSolverOptions& options) {
+                               const ActiveTimeOptions& options) {
   instance.validate();
-
-  ActiveTimeOptions base = options.base;
-  if (options.cancel != nullptr) base.cancel = options.cancel;
-  const util::CancelToken* cancel = base.cancel;
 
   RobustSolveResult result;
   if (!instance.has_processing_intervals()) {
@@ -73,7 +69,7 @@ RobustSolveResult solve_robust(const Instance& instance,
     static obs::Counter& c = obs::counter("at.robust.degenerate");
     c.add(1);
     result.degenerate = true;
-    result.nominal = solve_active_time(instance, base);
+    result.nominal = solve_active_time(instance, options);
     result.robust_lo = result.nominal.lp_value;
     result.robust_hi = result.nominal.active_slots;
     result.hi_backend = result.nominal.backend;
@@ -91,21 +87,21 @@ RobustSolveResult solve_robust(const Instance& instance,
   const Instance hi = instance.hi_corner();
   {
     obs::Span span("solve_robust/worst_case_feasibility");
-    NAT_CHECK_MSG(worst_case_feasible(hi, cancel),
+    NAT_CHECK_MSG(worst_case_feasible(hi, options.cancel),
                   "instance is infeasible at the worst-case (p_hi) corner");
   }
 
   // Nominal solve. The solvers only ever read `processing`, so passing
   // the interval-carrying instance gives the same schedule as its
   // stripped point version.
-  result.nominal = solve_active_time(instance, base);
+  result.nominal = solve_active_time(instance, options);
 
   // Best-case lower bound: LP(p_lo) <= OPT(p_lo) <= OPT(p) for every
   // realization p in the box (OPT is monotone in each p_j).
   const Instance lo = instance.lo_corner();
   {
     obs::Span span("solve_robust/lo_corner_lp");
-    result.robust_lo = corner_lp_value(lo, base.nested.lp);
+    result.robust_lo = corner_lp_value(lo, options.lp);
   }
 
   // Worst-case upper bound: ALG(p_hi) >= OPT(p_hi) >= OPT(p), so that
@@ -114,7 +110,7 @@ RobustSolveResult solve_robust(const Instance& instance,
   // exact.
   {
     obs::Span span("solve_robust/hi_corner_solve");
-    const ActiveTimeResult hi_result = solve_active_time(hi, base);
+    const ActiveTimeResult hi_result = solve_active_time(hi, options);
     result.hi_backend = hi_result.backend;
     result.robust_hi =
         std::max(hi_result.active_slots, result.nominal.active_slots);
@@ -129,7 +125,7 @@ RobustSolveResult solve_robust(const Instance& instance,
     verify::require("robust_sandwich",
                     verify::check_robust_sandwich(
                         result.robust_lo, result.nominal.active_slots,
-                        result.robust_hi, lp_terms, options.verify_radius));
+                        result.robust_hi, lp_terms));
   }
   return result;
 }

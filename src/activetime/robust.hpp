@@ -30,21 +30,10 @@
 #include <cstdint>
 
 #include "activetime/instance.hpp"
+#include "activetime/options.hpp"
 #include "activetime/solver.hpp"
-#include "util/cancel.hpp"
-#include "verify/verify.hpp"
 
 namespace nat::at {
-
-struct RobustSolverOptions {
-  // Options forwarded to the nominal and hi-corner solves.
-  ActiveTimeOptions base;
-  // Exact-arithmetic certificate level for the sandwich.
-  verify::VerifyLevel verify_level = verify::VerifyLevel::kDefault;
-  double verify_radius = verify::kDefaultRadius;
-  // Convenience: when set, overrides the cancel token of every phase.
-  const util::CancelToken* cancel = nullptr;
-};
 
 struct RobustSolveResult {
   // The nominal solve — identical to solve_active_time(instance).
@@ -62,10 +51,12 @@ struct RobustSolveResult {
   bool degenerate = false;
 };
 
-/// Solves the nominal instance and certifies the uncertainty box.
+/// Solves the nominal instance and certifies the uncertainty box. The
+/// nominal and hi-corner solves and the lo-corner LP all run with
+/// `options`; its verify_level also gates the sandwich certificate.
 /// Throws util::CheckError "instance is infeasible" when the worst-case
 /// (p_hi) corner does not fit with every slot open.
 RobustSolveResult solve_robust(const Instance& instance,
-                               const RobustSolverOptions& options = {});
+                               const ActiveTimeOptions& options = {});
 
 }  // namespace nat::at

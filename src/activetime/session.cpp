@@ -51,7 +51,7 @@ Time overlap_length(const Interval& a, const Interval& b) {
 
 }  // namespace
 
-SolverSession::SolverSession(Instance initial, SessionOptions options)
+SolverSession::SolverSession(Instance initial, ActiveTimeOptions options)
     : instance_(std::move(initial)), options_(options) {
   instance_.validate();
 }
@@ -144,9 +144,6 @@ void SolverSession::resolve() {
     if (!matched.count(key)) leftovers.push_back(&entry);
   }
 
-  ActiveTimeOptions solve_options;
-  solve_options.nested.lp = options_.lp;
-  solve_options.cancel = options_.cancel;
   std::unordered_map<std::uint64_t, GroupSolve> next;
   next.reserve(groups.size());
   std::vector<const ActiveTimeResult*> parts;
@@ -180,7 +177,7 @@ void SolverSession::resolve() {
       GroupWarmStart warm;
       warm.hint = hint != nullptr ? &hint->warm : nullptr;
       entry.result = solve_window_group(Instance{instance_.g, plan[gi].jobs},
-                                        solve_options, &warm);
+                                        options_, &warm);
       stats_.lp_warm_hits += warm.lp_stats.warm_hit;
       stats_.lp_warm_repairs += warm.lp_stats.warm_repair;
       stats_.lp_cold_fallbacks += warm.lp_stats.cold_fallback;

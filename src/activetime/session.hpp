@@ -31,9 +31,8 @@
 #include <vector>
 
 #include "activetime/instance.hpp"
-#include "activetime/lp_relaxation.hpp"
+#include "activetime/options.hpp"
 #include "activetime/solver.hpp"
-#include "util/cancel.hpp"
 
 namespace nat::at {
 
@@ -72,12 +71,6 @@ struct Retime {
 using Delta =
     std::variant<AddJob, RemoveJob, ExtendWindow, ShrinkWindow, Retime>;
 
-struct SessionOptions {
-  StrongLpOptions lp;
-  // Polled at simplex pivots and oracle queries of every group solve.
-  const util::CancelToken* cancel = nullptr;
-};
-
 /// Cumulative session statistics (reset never; diff across calls).
 struct SessionStats {
   std::int64_t solves = 0;          // solve()/apply() calls that resolved
@@ -98,7 +91,7 @@ using SessionResult = ActiveTimeResult;
 
 class SolverSession {
  public:
-  explicit SolverSession(Instance initial, SessionOptions options = {});
+  explicit SolverSession(Instance initial, ActiveTimeOptions options = {});
 
   /// Result for the current instance; solves lazily, then caches.
   const SessionResult& solve();
@@ -134,7 +127,7 @@ class SolverSession {
   void resolve();
 
   Instance instance_;
-  SessionOptions options_;
+  ActiveTimeOptions options_;
   SessionStats stats_;
   SessionResult result_;
   bool solved_ = false;

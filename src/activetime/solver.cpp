@@ -125,7 +125,7 @@ lp::Solution solve_strong_lp(const LaminarForest& forest, const StrongLp& lp,
 }
 
 NestedSolveResult run_nested(const Instance& instance,
-                             const NestedSolverOptions& options,
+                             const ActiveTimeOptions& options,
                              GroupWarmStart* warm) {
   NestedSolveResult result;
   if (instance.jobs.empty()) return result;
@@ -177,8 +177,7 @@ NestedSolveResult run_nested(const Instance& instance,
     obs::Span span("solve_nested/verify_lp");
     verify::require("lp",
                     verify::check_lp_solution(forest, lp, frac,
-                                              result.lp_value,
-                                              options.verify_radius));
+                                              result.lp_value));
   }
 
   if (options.naive_rounding) {
@@ -198,14 +197,12 @@ NestedSolveResult run_nested(const Instance& instance,
     if (vlevel == verify::VerifyLevel::kFull) {
       obs::Span span("solve_nested/verify_push_down");
       verify::require("push_down",
-                      verify::check_push_down(forest, x_before, frac.x,
-                                              options.verify_radius));
+                      verify::check_push_down(forest, x_before, frac.x));
       // The transform must keep the solution LP-feasible (Lemma 3.1
       // moves volume alongside the opened mass).
       verify::require("lp_transformed",
                       verify::check_lp_solution(forest, lp, frac,
-                                                result.lp_value,
-                                                options.verify_radius));
+                                                result.lp_value));
     }
     result.x_fractional = frac.x;
     result.topmost = topmost_positive(forest, frac.x);
@@ -220,8 +217,7 @@ NestedSolveResult run_nested(const Instance& instance,
       verify::require("rounding",
                       verify::check_rounding(forest, frac.x,
                                              result.x_rounded,
-                                             result.topmost,
-                                             options.verify_radius));
+                                             result.topmost));
     }
   }
 
@@ -270,7 +266,7 @@ NestedSolveResult run_nested(const Instance& instance,
 }  // namespace
 
 NestedSolveResult solve_nested(const Instance& instance,
-                               const NestedSolverOptions& options) {
+                               const ActiveTimeOptions& options) {
   return run_nested(instance, options, nullptr);
 }
 
@@ -327,9 +323,7 @@ ActiveTimeResult solve_window_group(const Instance& group,
   if (group.is_laminar()) {
     static obs::Counter& c = obs::counter("at.dispatch.nested");
     c.add(1);
-    NestedSolverOptions nested = options.nested;
-    if (options.cancel != nullptr) nested.cancel = options.cancel;
-    NestedSolveResult sub = run_nested(group, nested, warm);
+    NestedSolveResult sub = run_nested(group, options, warm);
     result.backend = Backend::kNested;
     result.schedule = std::move(sub.schedule);
     result.active_slots = sub.active_slots;
@@ -341,9 +335,7 @@ ActiveTimeResult solve_window_group(const Instance& group,
   // Crossing windows: the time-indexed LP's variables do not map onto
   // the strong LP's, so no basis is exported and a warm channel is
   // left untouched.
-  GeneralSolverOptions general = options.general;
-  if (options.cancel != nullptr) general.cancel = options.cancel;
-  GeneralSolveResult sub = solve_general(group, general);
+  GeneralSolveResult sub = solve_general(group, options);
   if (sub.lp_failed) {
     static obs::Counter& c = obs::counter("at.dispatch.greedy");
     c.add(1);

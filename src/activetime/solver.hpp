@@ -10,36 +10,12 @@
 #include "activetime/general.hpp"
 #include "activetime/instance.hpp"
 #include "activetime/lp_relaxation.hpp"
+#include "activetime/options.hpp"
 #include "activetime/schedule.hpp"
 #include "activetime/tree.hpp"
 #include "lp/sparse_simplex.hpp"
-#include "util/cancel.hpp"
-#include "verify/verify.hpp"
 
 namespace nat::at {
-
-struct NestedSolverOptions {
-  StrongLpOptions lp;          // ceiling-constraint / aggregation flags
-  // Exact-arithmetic self-check level (see verify/verify.hpp).
-  // kDefault resolves via NAT_VERIFY, else full in Debug builds and off
-  // in Release — the Release hot path pays nothing.
-  verify::VerifyLevel verify_level = verify::VerifyLevel::kDefault;
-  // Declared double-path rounding radius for the validators.
-  double verify_radius = verify::kDefaultRadius;
-  // Ablation: skip the Lemma 3.1 transform and Algorithm 1, rounding
-  // every region up instead (valid but without the 9/5 guarantee).
-  bool naive_rounding = false;
-  // Engineering addition (not in the paper): after rounding, close
-  // opened region slots while the flow oracle stays feasible. Only ever
-  // removes slots, so the 9/5 guarantee is preserved; off by default so
-  // the default pipeline is the paper's algorithm verbatim.
-  bool trim_rounded = false;
-  // Cooperative cancellation/deadline (util/cancel.hpp): polled at
-  // every simplex pivot, oracle query, repair step, and trim step, so
-  // a fired token aborts the solve with CancelledError at the next
-  // poll. The caller owns the token; nullptr disables polling.
-  const util::CancelToken* cancel = nullptr;
-};
 
 struct NestedSolveResult {
   Schedule schedule;            // feasible for the *original* instance
@@ -60,7 +36,7 @@ struct NestedSolveResult {
 /// open). This is the laminar branch of solve_window_group; called on a
 /// multi-group instance it solves all groups in one monolithic LP.
 NestedSolveResult solve_nested(const Instance& instance,
-                               const NestedSolverOptions& options = {});
+                               const ActiveTimeOptions& options = {});
 
 class FeasibilityOracle;
 
@@ -87,13 +63,6 @@ enum class Backend {
 };
 
 const char* to_string(Backend backend);
-
-struct ActiveTimeOptions {
-  NestedSolverOptions nested;    // used on laminar groups
-  GeneralSolverOptions general;  // used on crossing groups
-  // Convenience: when set, overrides the cancel token of both paths.
-  const util::CancelToken* cancel = nullptr;
-};
 
 struct ActiveTimeResult {
   Backend backend = Backend::kNested;

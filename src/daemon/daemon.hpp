@@ -81,10 +81,9 @@ struct DaemonOptions {
   // Weight / queue-depth / in-flight caps for first-contact tenants.
   TenantConfig tenant_defaults;
   // Solver knobs for "solve" requests (timeout_ms is ignored: daemon
-  // deadlines ride the per-request token instead).
+  // deadlines ride the per-request token instead). Session ops solve
+  // with batch.solve too, so both surfaces run the same pipeline.
   service::BatchOptions batch;
-  // Engine knobs for session ops.
-  at::SessionOptions session;
   // Start with dispatch paused so tests and load generators can
   // preload queues deterministically, then resume().
   bool start_paused = false;

@@ -176,13 +176,11 @@ CellResult solve_cell(const BatchItem& item, int index,
                 sw);
   }
 
+  at::ActiveTimeOptions solve = options.solve;
+  solve.cancel = cancel;
   try {
     if (options.robust) {
-      at::RobustSolverOptions robust;
-      robust.base.nested = options.nested;
-      robust.base.general = options.general;
-      robust.cancel = cancel;
-      const at::RobustSolveResult res = at::solve_robust(instance, robust);
+      const at::RobustSolveResult res = at::solve_robust(instance, solve);
       r.solver = to_string(res.nominal.backend);
       r.backend = to_string(res.nominal.backend);
       r.active_slots = res.nominal.active_slots;
@@ -192,20 +190,13 @@ CellResult solve_cell(const BatchItem& item, int index,
     } else if (solver == "auto" || solver == "nested") {
       // Both go through the per-group kernel; a "nested" instance is
       // laminar (checked above), so every group takes the 9/5 path.
-      at::ActiveTimeOptions dispatch;
-      dispatch.nested = options.nested;
-      dispatch.general = options.general;
-      dispatch.cancel = cancel;
-      const at::ActiveTimeResult res = at::solve_active_time(instance,
-                                                             dispatch);
+      const at::ActiveTimeResult res = at::solve_active_time(instance, solve);
       r.solver = solver == "auto" ? to_string(res.backend) : solver;
       r.backend = to_string(res.backend);
       r.active_slots = res.active_slots;
       r.lp_value = res.lp_value;
     } else if (solver == "general") {
-      at::GeneralSolverOptions general = options.general;
-      general.cancel = cancel;
-      const at::GeneralSolveResult res = at::solve_general(instance, general);
+      const at::GeneralSolveResult res = at::solve_general(instance, solve);
       r.backend = res.lp_failed ? "greedy" : "general";
       r.active_slots = res.active_slots;
       r.lp_value = res.lp_failed ? -1.0 : res.lp_value;

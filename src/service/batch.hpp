@@ -100,10 +100,9 @@ struct BatchOptions {
   // When false, the first non-solved cell marks every cell that has
   // not started yet as kSkipped (cells already running finish).
   bool keep_going = true;
-  // Base options for the nested solver (per-cell cancel is overlaid).
-  at::NestedSolverOptions nested;
-  // Base options for the general 2-approx solver (same overlay).
-  at::GeneralSolverOptions general;
+  // Solver options of every cell; the per-cell cancel token replaces
+  // solve.cancel. The daemon's session ops read the same value.
+  at::ActiveTimeOptions solve;
   // Node budget for the exact solver.
   std::int64_t exact_node_budget = 20'000'000;
   // Robust interval-time mode (docs/ROBUST.md): every cell routes

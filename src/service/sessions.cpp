@@ -109,7 +109,7 @@ std::string session_op_to_json(const SessionOpResult& r) {
   return session_op_record(r).dump();
 }
 
-SessionManager::SessionManager(at::SessionOptions options)
+SessionManager::SessionManager(at::ActiveTimeOptions options)
     : options_(options) {}
 
 SessionManager::~SessionManager() = default;
@@ -171,7 +171,7 @@ SessionOpResult SessionManager::process_line(const std::string& line,
       } catch (const std::exception& e) {
         return fail("input:validate", e.what());
       }
-      at::SessionOptions op_options = options_;
+      at::ActiveTimeOptions op_options = options_;
       op_options.cancel = cancel;
       auto session =
           std::make_unique<at::SolverSession>(std::move(instance), op_options);

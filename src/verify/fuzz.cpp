@@ -135,7 +135,7 @@ std::pair<std::string, std::string> check_instance(
 
     // Full exact-arithmetic verification regardless of build type: the
     // fuzzer is the differential harness, so it always pays for rigor.
-    at::NestedSolverOptions solver_options;
+    at::ActiveTimeOptions solver_options;
     solver_options.verify_level = VerifyLevel::kFull;
     const at::NestedSolveResult result =
         at::solve_nested(instance, solver_options);
@@ -343,11 +343,9 @@ std::pair<std::string, std::string> check_general_instance(
     const at::Instance& instance, const GeneralFuzzOptions& options) {
   if (instance.jobs.empty()) return {};
   try {
-    at::ActiveTimeOptions dispatch;
-    dispatch.nested.verify_level = VerifyLevel::kFull;
-    dispatch.general.verify_level = VerifyLevel::kFull;
-    const at::ActiveTimeResult result =
-        at::solve_active_time(instance, dispatch);
+    at::ActiveTimeOptions full;
+    full.verify_level = VerifyLevel::kFull;
+    const at::ActiveTimeResult result = at::solve_active_time(instance, full);
 
     if (instance.is_laminar()) {
       if (result.backend != at::Backend::kNested) {
@@ -357,14 +355,12 @@ std::pair<std::string, std::string> check_general_instance(
       }
       // On laminar input the dispatcher must be exactly solve_nested
       // run on each window group, concatenated.
-      at::NestedSolverOptions nested_options;
-      nested_options.verify_level = VerifyLevel::kFull;
       at::Schedule concatenated;
       concatenated.assignment.resize(instance.jobs.size());
       double lp_sum = 0.0;
       for (const std::vector<int>& members : at::window_groups(instance)) {
         const at::NestedSolveResult nested = at::solve_nested(
-            at::group_instance(instance, members), nested_options);
+            at::group_instance(instance, members), full);
         for (std::size_t p = 0; p < members.size(); ++p) {
           concatenated.assignment[static_cast<std::size_t>(members[p])] =
               nested.schedule.assignment[p];
@@ -532,11 +528,9 @@ std::pair<std::string, std::string> check_robust_instance(
     const at::Instance& instance, const RobustFuzzOptions& options) {
   if (instance.jobs.empty()) return {};
   try {
-    at::RobustSolverOptions ropts;
-    ropts.base.nested.verify_level = VerifyLevel::kFull;
-    ropts.base.general.verify_level = VerifyLevel::kFull;
-    ropts.verify_level = VerifyLevel::kFull;
-    const at::RobustSolveResult res = at::solve_robust(instance, ropts);
+    at::ActiveTimeOptions full;
+    full.verify_level = VerifyLevel::kFull;
+    const at::RobustSolveResult res = at::solve_robust(instance, full);
 
     if (res.degenerate == instance.has_processing_intervals()) {
       return {"robust:degenerate_flag",
@@ -548,11 +542,8 @@ std::pair<std::string, std::string> check_robust_instance(
     // Degenerate-path contract: the nominal solve must be bit-identical
     // to the point solver on the stripped instance (solvers only read
     // the nominal p, so the boxes must not perturb anything).
-    at::ActiveTimeOptions dispatch;
-    dispatch.nested.verify_level = VerifyLevel::kFull;
-    dispatch.general.verify_level = VerifyLevel::kFull;
     const at::ActiveTimeResult point =
-        at::solve_active_time(strip_intervals(instance), dispatch);
+        at::solve_active_time(strip_intervals(instance), full);
     if (res.nominal.schedule.assignment != point.schedule.assignment ||
         res.nominal.active_slots != point.active_slots ||
         res.nominal.backend != point.backend) {

@@ -80,7 +80,7 @@ TEST(Corpus, NestedSolverKeepsItsGuarantees) {
 TEST(Corpus, TrimmedSolverDominatesPaperPipeline) {
   for (const auto& [name, opt] : load_manifest()) {
     const Instance inst = load(name);
-    NestedSolverOptions options;
+    ActiveTimeOptions options;
     options.trim_rounded = true;
     NestedSolveResult r = solve_nested(inst, options);
     validate_schedule(inst, r.schedule);

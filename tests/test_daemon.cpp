@@ -22,6 +22,7 @@
 
 #include "daemon/daemon.hpp"
 #include "daemon/fair_queue.hpp"
+#include "instances/generators.hpp"
 #include "obs/report.hpp"
 #include "service/jsonl.hpp"
 #include "util/check.hpp"
@@ -537,6 +538,47 @@ TEST(Daemon, RobustModeEmitsSandwichFields) {
   plain_daemon.drain();
   ASSERT_EQ(plain_out.parsed().size(), 1u);
   EXPECT_EQ(plain_out.find_index(0).find("robust_hi"), nullptr);
+}
+
+// One options value configures both daemon surfaces: batch.solve
+// reaches stateless solves and session opens alike. Dropping the
+// ceiling rows on unit_overload(4) (one window group whose LP value is
+// 2 with the rows and 1.25 without) must lower both records equally.
+TEST(Daemon, BatchSolveOptionsConfigureSolveAndSessionOps) {
+  const at::Instance overload = at::gen::unit_overload(4);
+  std::string payload =
+      "\"g\":" + std::to_string(overload.g) + ",\"jobs\":[";
+  for (std::size_t j = 0; j < overload.jobs.size(); ++j) {
+    const at::Job& job = overload.jobs[j];
+    payload += (j == 0 ? "[" : ",[") + std::to_string(job.release) + "," +
+               std::to_string(job.deadline) + "," +
+               std::to_string(job.processing) + "]";
+  }
+  payload += "]}";
+  // {solve lp_value, open lp_value} under the given ceiling flag.
+  const auto lp_values = [&](bool ceiling_constraints) {
+    Collector out;
+    DaemonOptions options;
+    options.threads = 1;
+    options.batch.solve.lp.ceiling_constraints = ceiling_constraints;
+    options.sink = out.sink();
+    Daemon daemon(options);
+    EXPECT_TRUE(daemon.submit_line(R"({"op":"solve",)" + payload));
+    EXPECT_TRUE(
+        daemon.submit_line(R"({"op":"open","session":"s",)" + payload));
+    daemon.drain();
+    const obs::Json solve = out.find_index(0);
+    const obs::Json open = out.find_index(1);
+    EXPECT_EQ(field(solve, "status"), "solved");
+    EXPECT_EQ(field(open, "status"), "solved");
+    return std::vector<double>{solve.find("lp_value")->as_double(),
+                               open.find("lp_value")->as_double()};
+  };
+  const std::vector<double> with_rows = lp_values(true);
+  const std::vector<double> without_rows = lp_values(false);
+  EXPECT_DOUBLE_EQ(with_rows[0], with_rows[1]);
+  EXPECT_DOUBLE_EQ(without_rows[0], without_rows[1]);
+  EXPECT_LT(without_rows[0], with_rows[0] - 0.1);
 }
 
 // Satellite regression: a benign signal (handler installed without

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "activetime/time_indexed_lp.hpp"
+#include "baselines/exact_unit.hpp"
 #include "helpers.hpp"
 
 namespace nat::at::baselines {
@@ -102,6 +106,19 @@ TEST_P(ExactAgreement, BranchAndBoundMatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExactAgreement, ::testing::Range(0, 80));
+
+// g near 2^63 passes validation on a one-slot horizon; every
+// ceil(volume / g) bound must be formed without volume + g - 1.
+TEST(ExactLaminar, HugeGCeilingsDoNotWrap) {
+  const Instance inst{std::numeric_limits<std::int64_t>::max(),
+                      {Job{0, 1, 1}, Job{0, 1, 1}}};
+  inst.validate();
+  EXPECT_EQ(inst.volume_lower_bound(), 1);
+  EXPECT_EQ(exact_opt_laminar(inst)->optimum, 1);
+  EXPECT_EQ(exact_opt_unit_laminar(inst).optimum, 1);
+  EXPECT_EQ(exact_opt_common_window(inst), 1);
+  EXPECT_NEAR(cw_lp_value(inst), 1.0, 1e-9);
+}
 
 }  // namespace
 }  // namespace nat::at::baselines

@@ -25,8 +25,8 @@
 namespace nat::at {
 namespace {
 
-GeneralSolverOptions full_verify() {
-  GeneralSolverOptions options;
+ActiveTimeOptions full_verify() {
+  ActiveTimeOptions options;
   options.verify_level = verify::VerifyLevel::kFull;
   return options;
 }
@@ -128,7 +128,7 @@ TEST(General, CancellationPollsInsideRoundingLoop) {
   const Instance instance = gen::hard_crossing(3, 4);
   util::CancelToken token;
   token.cancel();
-  GeneralSolverOptions options;
+  ActiveTimeOptions options;
   options.cancel = &token;
   EXPECT_THROW(solve_general(instance, options), util::CancelledError);
 }

@@ -143,7 +143,7 @@ TEST(TrimOption, NeverWorseAndStillValid) {
   for (int id = 0; id < 20; ++id) {
     const Instance inst = testing::mixed(id);
     NestedSolveResult paper = solve_nested(inst);
-    NestedSolverOptions opt;
+    ActiveTimeOptions opt;
     opt.trim_rounded = true;
     NestedSolveResult trimmed = solve_nested(inst, opt);
     validate_schedule(inst, trimmed.schedule);

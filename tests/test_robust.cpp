@@ -5,6 +5,7 @@
 // degenerate path bit-identical to solve_active_time.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -66,6 +67,46 @@ TEST(RobustInstance, ValidateAcceptsAndRejectsBoxes) {
   bad.jobs[2].processing_lo = 1;  // window [2, 3) has length 1
   bad.jobs[2].processing_hi = 2;
   EXPECT_THROW(bad.validate(), util::CheckError);
+}
+
+// Hostile int64 inputs must fail validation, naming the quantity that
+// would wrap, instead of wrapping inside the tree, flow or LP stages.
+TEST(RobustInstance, ValidateRejectsOverflowingQuantities) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kHuge = std::int64_t{1} << 62;
+  const auto rejects = [](const Instance& instance, const std::string& what) {
+    try {
+      instance.validate();
+    } catch (const util::CheckError& e) {
+      return std::string(e.what()).find(what) != std::string::npos;
+    }
+    return false;
+  };
+  // r + p wraps.
+  EXPECT_TRUE(rejects(Instance{1, {Job{kMax - 7, kMax, 100}}},
+                      "release + processing"));
+  EXPECT_TRUE(rejects(Instance{1, {Job{kMax - 7, kMax, 1, 1, 100}}},
+                      "release + processing_hi"));
+  // d - r wraps.
+  EXPECT_TRUE(rejects(Instance{1, {Job{-kMax, kMax, 3}}}, "horizon length"));
+  // sum p wraps.
+  const Job huge{0, kHuge, kHuge};
+  EXPECT_TRUE(rejects(Instance{1, {huge, huge, huge}},
+                      "total processing volume"));
+  // g * L(i) wraps.
+  EXPECT_TRUE(rejects(Instance{kHuge, testing::small_nested().jobs},
+                      "g * horizon length"));
+  // The worst-case corner's volume wraps although the nominal one fits.
+  const Job boxed{0, kHuge, 1, 1, kHuge};
+  EXPECT_TRUE(rejects(Instance{1, {boxed, boxed, boxed}},
+                      "total processing volume"));
+  // The horizon wraps although every window is short.
+  EXPECT_TRUE(rejects(Instance{1, {Job{-kMax, -kMax + 2, 1},
+                                   Job{kMax - 2, kMax, 1}}},
+                      "horizon length"));
+  // The largest quantities that fit are accepted.
+  EXPECT_NO_THROW((Instance{1, {Job{kMax - 7, kMax, 7}}}.validate()));
+  EXPECT_NO_THROW((Instance{kMax / 4, {Job{0, 4, 2}}}.validate()));
 }
 
 TEST(RobustInstance, CornersMaterializePointInstances) {

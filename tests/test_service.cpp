@@ -186,6 +186,35 @@ TEST(Service, OverCapLineBetweenHealthyLinesIsOneLimitsRecord) {
   EXPECT_EQ(record.find("failure_class")->as_string(), "input:limits");
 }
 
+// Numbers whose derived quantities wrap int64 (r + p, d - r, sum p,
+// g * L) used to pass validation and fail deep inside the solver; each
+// is now exactly one input:validate record between healthy cells.
+TEST(Service, OverflowingNumbersAreValidateRecords) {
+  const std::string huge = "[0, 4611686018427387904, 4611686018427387904]";
+  const std::vector<std::string> hostile = {
+      R"({"g": 1, "jobs": [[9223372036854775800, 9223372036854775807, 100]]})",
+      R"({"g": 1, "jobs": [[-9223372036854775807, 9223372036854775807, 3]]})",
+      "{\"g\": 1, \"jobs\": [" + huge + ", " + huge + ", " + huge + "]}",
+      R"({"g": 4611686018427387904, "jobs": [[0, 4, 2], [0, 4, 2], [1, 3, 1]]})",
+  };
+  std::vector<BatchItem> items{json_item("ok-a", healthy_cell())};
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    items.push_back(json_item("hostile-" + std::to_string(i), hostile[i]));
+  }
+  items.push_back(json_item("ok-b", healthy_cell()));
+  const BatchReport report = solve_batch(items, {});
+  ASSERT_EQ(report.cells.size(), items.size());
+  EXPECT_EQ(report.solved, 2);
+  EXPECT_EQ(report.errors, 4);
+  EXPECT_EQ(report.cells.front().status, CellStatus::kSolved);
+  EXPECT_EQ(report.cells.back().status, CellStatus::kSolved);
+  for (std::size_t i = 1; i + 1 < report.cells.size(); ++i) {
+    EXPECT_EQ(report.cells[i].status, CellStatus::kError) << i;
+    EXPECT_EQ(report.cells[i].failure_class, "input:validate")
+        << report.cells[i].error;
+  }
+}
+
 // A deadline fired mid-B&B yields a timeout record; the rest of the
 // batch is unaffected.
 TEST(Service, DeadlineMidSearchYieldsTimeoutRecord) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -352,6 +353,23 @@ TEST(Session, InvalidDeltaRollsBack) {
       util::CheckError);
   EXPECT_EQ(session.num_jobs(), n);
   EXPECT_EQ(session.solve().schedule.assignment, before.schedule.assignment);
+}
+
+// An add whose numbers wrap int64 fails validation and rolls back;
+// the second add is valid on its own but wraps g * horizon length.
+TEST(Session, OverflowingAddRollsBack) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const Instance instance = testing::small_nested();  // g = 2
+  SolverSession session(instance);
+  const SessionResult before = session.solve();
+  EXPECT_THROW(session.apply(AddJob{Job{-kMax, kMax, 3}}), util::CheckError);
+  EXPECT_THROW(session.apply(AddJob{Job{kMax - 2, kMax, 1}}),
+               util::CheckError);
+  EXPECT_EQ(session.instance().jobs, instance.jobs);
+  EXPECT_EQ(session.solve().schedule.assignment, before.schedule.assignment);
+  EXPECT_EQ(session.apply(AddJob{Job{0, 4, 1}}).schedule.assignment.size(),
+            instance.jobs.size() + 1);
+  expect_matches_scratch(session);
 }
 
 TEST(Session, InfeasibleDeltaRollsBack) {

@@ -97,7 +97,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, UnitSweep, ::testing::Range(0, 30));
 TEST(NestedSolver, NaiveRoundingAblationStillValid) {
   for (int id = 0; id < 10; ++id) {
     const Instance inst = testing::random_small(id);
-    NestedSolverOptions opt;
+    ActiveTimeOptions opt;
     opt.naive_rounding = true;
     NestedSolveResult r = solve_nested(inst, opt);
     validate_schedule(inst, r.schedule);

@@ -34,7 +34,7 @@ TEST(Stress, SolverWithAndWithoutAggregationAgree) {
   // differ by rounding tie-breaks but both stay certified).
   for (int id = 0; id < 25; ++id) {
     const Instance inst = testing::mixed(id);
-    NestedSolverOptions agg, flat;
+    ActiveTimeOptions agg, flat;
     flat.lp.aggregate_classes = false;
     NestedSolveResult a = solve_nested(inst, agg);
     NestedSolveResult b = solve_nested(inst, flat);

@@ -78,7 +78,7 @@ TEST(VerifyLevel, DefaultHonorsEnvironmentOverride) {
 TEST(Validators, FullVerificationPassesAcrossTheSweep) {
   const std::int64_t checks_before =
       obs::counter("at.verify.checks").value();
-  at::NestedSolverOptions options;
+  at::ActiveTimeOptions options;
   options.verify_level = verify::VerifyLevel::kFull;
   for (int id = 0; id < 16; ++id) {
     EXPECT_NO_THROW(at::solve_nested(mixed(id), options))
@@ -89,7 +89,7 @@ TEST(Validators, FullVerificationPassesAcrossTheSweep) {
 }
 
 TEST(Validators, LightLevelChecksTheSchedule) {
-  at::NestedSolverOptions options;
+  at::ActiveTimeOptions options;
   options.verify_level = verify::VerifyLevel::kLight;
   EXPECT_NO_THROW(at::solve_nested(at::testing::small_nested(), options));
 }
@@ -161,7 +161,7 @@ TEST(Validators, RoundingCertifiesAndTamperingIsRejected) {
 
 TEST(Validators, ScheduleChecksCountsWindowsAndBudget) {
   const at::Instance instance = at::testing::small_nested();
-  at::NestedSolverOptions options;
+  at::ActiveTimeOptions options;
   options.verify_level = verify::VerifyLevel::kOff;
   const at::NestedSolveResult r = at::solve_nested(instance, options);
   EXPECT_EQ(verify::check_schedule(instance, r.schedule, r.active_slots),
